@@ -5,20 +5,26 @@
 //! fault point with exactly that operation failing. Process death is
 //! simulated by dropping the handle with the fault still tripped (so even
 //! the buffer pool's best-effort `Drop` flush fails), the directory is
-//! reopened through the recovery path, and the query output is compared
-//! bit-for-bit against both the pre-mutation and the post-mutation
-//! reference states. A recovery that matches neither — a
-//! corrupted-but-served state — fails the row.
+//! reopened through the recovery path, and the observed state — query
+//! answers plus the durable counters that tell pre from post — is
+//! compared against both the pre-mutation and the post-mutation reference
+//! states. A recovery that matches neither — a corrupted-but-served state
+//! — fails the row.
 //!
-//! Sweeps cover the single index (`insert_graph`, `remove_graph`: WAL +
-//! page writes + meta rename) and the sharded database (`insert_graph`:
-//! journal + `graphs.json` + shard WAL + `shards.json` manifest rewrite;
-//! `remove_graph`). Only built with `--features failpoints`.
+//! Sweeps cover the generational single index (`insert_graph`: the
+//! `mvcc.json` logical bump; `remove_graph`: the tombstone write; `fold`:
+//! a generation build plus the manifest flip), the in-process sharded
+//! database (insert: journal + `graphs.json` + the `shards.json`
+//! assignment commit; remove; fold of every shard) and the served shard
+//! engine (the same three on a one-shard deployment). Only built with
+//! `--features failpoints`.
 
 use std::path::Path;
-use tale::{QueryOptions, TaleParams};
+use tale::{QueryOptions, TaleDatabase, TaleParams};
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
-use tale_nhindex::{NhIndex, NhIndexConfig, NodeCandidate};
+use tale_nhindex::GenerationalNhIndex;
+use tale_server::engine::{EngineConfig, ShardEngine};
+use tale_server::wire::{FoldRequest, InsertRequest, RemoveRequest, WireGraph};
 use tale_shard::{HashPolicy, ShardedTaleDatabase};
 use tale_storage::faults;
 
@@ -39,19 +45,8 @@ pub struct CrashRow {
     pub identical: bool,
 }
 
-/// Tiny pool so mutations overflow it and exercise eviction write-backs
-/// mid-transaction.
-fn cfg() -> NhIndexConfig {
-    NhIndexConfig {
-        sbit: 32,
-        buffer_frames: 8,
-        parallel_build: false,
-        bloom_hashes: 1,
-        use_edge_labels: false,
-        ..NhIndexConfig::default()
-    }
-}
-
+/// Tiny per-index pool so builds overflow it and exercise eviction
+/// write-backs.
 fn params() -> TaleParams {
     TaleParams {
         buffer_frames: 8,
@@ -107,127 +102,36 @@ fn copy_tree(src: &Path, dst: &Path) {
     }
 }
 
-/// Probes every node of every graph — the single-index "query output"
-/// whose bit-identity the sweep checks.
-fn probe_matrix(idx: &NhIndex, db: &GraphDb) -> Vec<Vec<NodeCandidate>> {
-    let mut out = Vec::new();
-    for (gid, _, g) in db.iter() {
-        for n in g.nodes() {
-            let sig = idx.signature(g, n, &|x| db.effective_label(gid, x));
-            let mut hits = idx.probe(&sig, 0.3).unwrap();
-            hits.sort_by_key(|h| h.node);
-            out.push(hits);
-        }
-    }
-    out
-}
+/// What a recovered directory is observed as: its query answers plus
+/// the durable counters that tell the pre state from the post state.
+/// `None` = the directory would not open or failed its integrity check.
+type Observed = Option<(Vec<Vec<(GraphId, u64, usize)>>, Vec<u64>)>;
 
-/// Sweeps one single-index mutation over all its fault points.
-fn sweep_single<F>(db: &GraphDb, pre: &Path, scratch: &Path, name: &str, mutate: F) -> CrashRow
-where
-    F: Fn(&mut NhIndex) -> tale_nhindex::Result<()>,
-{
-    let frames = cfg().buffer_frames;
-    let pre_idx = NhIndex::open(pre, frames).unwrap();
-    let pre_gen = pre_idx.generation();
-    let pre_matrix = probe_matrix(&pre_idx, db);
-    drop(pre_idx);
-
-    let post_dir = scratch.join("post");
-    copy_tree(pre, &post_dir);
-    let mut post_idx = NhIndex::open(&post_dir, frames).unwrap();
-    mutate(&mut post_idx).unwrap();
-    let post_gen = post_idx.generation();
-    let post_matrix = probe_matrix(&post_idx, db);
-    drop(post_idx);
-
-    let count_dir = scratch.join("count");
-    copy_tree(pre, &count_dir);
-    let mut idx = NhIndex::open(&count_dir, frames).unwrap();
-    faults::arm_counting();
-    mutate(&mut idx).unwrap();
-    let n = faults::disarm();
-    drop(idx);
-
-    let mut row = CrashRow {
-        mutation: name.to_owned(),
-        fault_points: n,
-        rolled_back: 0,
-        committed: 0,
-        identical: true,
-    };
-    for i in 0..n {
-        let work = scratch.join(format!("fault-{i}"));
-        copy_tree(pre, &work);
-        let mut idx = NhIndex::open(&work, frames).unwrap();
-        faults::arm(i);
-        let crashed = mutate(&mut idx).is_err();
-        drop(idx);
-        faults::disarm();
-        let Ok((idx, _)) = NhIndex::open_with_recovery(&work, frames) else {
-            row.identical = false;
-            continue;
-        };
-        let matrix = probe_matrix(&idx, db);
-        let clean = idx.verify().is_ok_and(|r| r.is_ok());
-        if idx.generation() == post_gen && matrix == post_matrix && clean {
-            row.committed += 1;
-        } else if idx.generation() == pre_gen && matrix == pre_matrix && clean && crashed {
-            row.rolled_back += 1;
-        } else {
-            row.identical = false;
-        }
-        drop(idx);
-        std::fs::remove_dir_all(&work).unwrap();
-    }
-    row
-}
-
-/// Compressed query answers over all probe graphs for the sharded sweep.
-type Answers = Vec<Vec<(GraphId, u64, usize)>>;
-
-fn answers(sharded: &ShardedTaleDatabase, queries: &[Graph]) -> Answers {
-    queries
-        .iter()
-        .map(|q| {
-            sharded
-                .query(q, &opts())
-                .unwrap()
-                .into_iter()
-                .map(|m| (m.graph, m.score.to_bits(), m.matched_nodes))
-                .collect()
-        })
-        .collect()
-}
-
-/// Sweeps one sharded-database mutation over all its fault points.
-fn sweep_sharded<F>(
+/// Sweeps one mutation over all its fault points. `open` reopens a
+/// directory through its recovery path, `mutate` applies the mutation
+/// (true = it succeeded), `observe` reads the state.
+fn sweep<H>(
     pre: &Path,
     scratch: &Path,
-    queries: &[Graph],
     name: &str,
-    mutate: F,
-) -> CrashRow
-where
-    F: Fn(&mut ShardedTaleDatabase) -> tale_shard::Result<()>,
-{
-    let frames = params().buffer_frames;
-    let pre_db = ShardedTaleDatabase::open(pre, frames).unwrap();
-    let pre_answers = answers(&pre_db, queries);
-    drop(pre_db);
-
+    open: impl Fn(&Path) -> Option<H>,
+    mutate: impl Fn(&H) -> bool,
+    observe: impl Fn(&H) -> Observed,
+) -> CrashRow {
+    let observed = |dir: &Path| open(dir).and_then(|h| observe(&h));
+    let pre_state = observed(pre).expect("pre state opens");
     let post_dir = scratch.join("post");
     copy_tree(pre, &post_dir);
-    let mut post = ShardedTaleDatabase::open(&post_dir, frames).unwrap();
-    mutate(&mut post).unwrap();
-    let post_answers = answers(&post, queries);
+    let post = open(&post_dir).expect("post copy opens");
+    assert!(mutate(&post), "{name}: clean mutation failed");
     drop(post);
+    let post_state = observed(&post_dir).expect("post state opens");
 
     let count_dir = scratch.join("count");
     copy_tree(pre, &count_dir);
-    let mut counted = ShardedTaleDatabase::open(&count_dir, frames).unwrap();
+    let counted = open(&count_dir).expect("count copy opens");
     faults::arm_counting();
-    mutate(&mut counted).unwrap();
+    mutate(&counted);
     let n = faults::disarm();
     drop(counted);
 
@@ -241,85 +145,181 @@ where
     for i in 0..n {
         let work = scratch.join(format!("fault-{i}"));
         copy_tree(pre, &work);
-        let mut sharded = ShardedTaleDatabase::open(&work, frames).unwrap();
+        let h = open(&work).expect("work copy opens");
         faults::arm(i);
-        let crashed = mutate(&mut sharded).is_err();
-        drop(sharded);
+        let crashed = !mutate(&h);
+        drop(h); // the process is "dead"
         faults::disarm();
-        let Ok((recovered, _)) = ShardedTaleDatabase::open_with_recovery(&work, frames) else {
-            row.identical = false;
-            continue;
-        };
-        let got = answers(&recovered, queries);
-        let clean = recovered
-            .index()
-            .verify()
-            .is_ok_and(|rs| rs.iter().all(|r| r.is_ok()));
-        if got == post_answers && clean {
-            row.committed += 1;
-        } else if got == pre_answers && clean && crashed {
-            row.rolled_back += 1;
-        } else {
-            row.identical = false;
+        match observed(&work) {
+            Some(got) if got == post_state => row.committed += 1,
+            Some(got) if got == pre_state && crashed => row.rolled_back += 1,
+            _ => row.identical = false,
         }
-        drop(recovered);
         std::fs::remove_dir_all(&work).unwrap();
     }
+    std::fs::remove_dir_all(&post_dir).unwrap();
+    std::fs::remove_dir_all(&count_dir).unwrap();
     row
 }
 
-/// Runs the full crash-safety sweep: single-index insert/remove, sharded
-/// insert (journal + manifest rewrite) and remove. Returns one row per
-/// mutation kind; `identical` must be true on every row.
-pub fn run_crash() -> Vec<CrashRow> {
-    let (db, graphs, fodder) = corpus();
-    let mut rows = Vec::new();
+/// A reopened database of any layout under test.
+enum Handle {
+    Single(TaleDatabase),
+    Sharded(ShardedTaleDatabase),
+    Served(ShardEngine),
+}
 
-    // single index over the first five graphs; g5 is single-insert fodder
-    {
-        let scratch = tempfile::tempdir().unwrap();
-        let pre = scratch.path().join("pre");
-        let initial: Vec<GraphId> = (0..5).map(GraphId).collect();
-        NhIndex::build_subset(&pre, &db, &cfg(), &initial).unwrap();
-        rows.push(sweep_single(
-            &db,
-            &pre,
-            scratch.path(),
-            "index insert_graph",
-            |idx| idx.insert_graph(&db, GraphId(5)),
-        ));
-        rows.push(sweep_single(
-            &db,
-            &pre,
-            scratch.path(),
-            "index remove_graph",
-            |idx| idx.remove_graph(GraphId(1), db.effective_vocab_size() as u64),
-        ));
+impl Handle {
+    fn open(kind: &str, dir: &Path) -> Option<Handle> {
+        let frames = params().buffer_frames;
+        match kind {
+            "index" => TaleDatabase::open(dir, frames).ok().map(Handle::Single),
+            "sharded" => ShardedTaleDatabase::open(dir, frames)
+                .ok()
+                .map(Handle::Sharded),
+            _ => ShardEngine::open(
+                dir,
+                0,
+                EngineConfig {
+                    buffer_frames: frames,
+                    ..EngineConfig::default()
+                },
+            )
+            .ok()
+            .map(Handle::Served),
+        }
     }
 
-    // sharded database (2 shards): insert covers the journal, the
-    // graphs.json save and the manifest rewrite on top of the shard WAL
-    {
+    fn insert(&self, g: &Graph) -> bool {
+        match self {
+            Handle::Single(d) => d.insert_graph("late", g.clone()).is_ok(),
+            Handle::Sharded(d) => d.insert_graph("late", g.clone()).is_ok(),
+            Handle::Served(e) => e
+                .insert(&InsertRequest {
+                    name: "late".into(),
+                    graph: WireGraph::from_graph(&e.database().db(), g),
+                })
+                .is_ok(),
+        }
+    }
+
+    fn remove(&self, gid: GraphId) -> bool {
+        match self {
+            Handle::Single(d) => d.remove_graph(gid).is_ok(),
+            Handle::Sharded(d) => d.remove_graph(gid).is_ok(),
+            Handle::Served(e) => e.remove(&RemoveRequest { graph: gid.0 }).is_ok(),
+        }
+    }
+
+    fn fold(&self) -> bool {
+        match self {
+            Handle::Single(d) => d.fold().is_ok(),
+            Handle::Sharded(d) => d.fold().is_ok(),
+            Handle::Served(e) => e.fold(&FoldRequest { confirm: true }).is_ok(),
+        }
+    }
+
+    /// Query answers plus (graph count, then per index: current
+    /// generation, tombstone count) after a deep integrity check.
+    fn observe(&self, queries: &[Graph]) -> Observed {
+        let indexes: Vec<&GenerationalNhIndex> = match self {
+            Handle::Single(d) => vec![d.index()],
+            Handle::Sharded(d) => d.index().shards().iter().collect(),
+            Handle::Served(e) => e.database().index().shards().iter().collect(),
+        };
+        let mut marks = Vec::new();
+        for idx in indexes {
+            if !idx.verify().is_ok_and(|r| r.is_ok()) {
+                return None;
+            }
+            let snap = idx.snapshot();
+            marks.extend([snap.base_generation(), snap.removed_count() as u64]);
+        }
+        let (len, answers) = match self {
+            Handle::Single(d) => (d.db().len(), answers(queries, |q| d.query(q, &opts()).ok())),
+            Handle::Sharded(d) => (d.db().len(), answers(queries, |q| d.query(q, &opts()).ok())),
+            Handle::Served(e) => {
+                let d = e.database();
+                (d.db().len(), answers(queries, |q| d.query(q, &opts()).ok()))
+            }
+        };
+        marks.push(len as u64);
+        Some((answers?, marks))
+    }
+}
+
+fn answers(
+    queries: &[Graph],
+    run: impl Fn(&Graph) -> Option<Vec<tale::QueryMatch>>,
+) -> Option<Vec<Vec<(GraphId, u64, usize)>>> {
+    queries
+        .iter()
+        .map(|q| {
+            run(q).map(|ms| {
+                ms.into_iter()
+                    .map(|m| (m.graph, m.score.to_bits(), m.matched_nodes))
+                    .collect()
+            })
+        })
+        .collect()
+}
+
+/// Runs the full crash-safety sweep — insert, remove and fold of the
+/// generational single index (`TaleDatabase`), the 2-shard in-process
+/// database, and the served shard engine on a one-shard deployment.
+/// Returns one row per mutation; `identical` must be true on every row.
+pub fn run_crash() -> Vec<CrashRow> {
+    let (db, graphs, fodder) = corpus();
+    let mut queries = graphs.clone();
+    queries.push(fodder.clone());
+    let mut rows = Vec::new();
+    for (kind, commit) in [
+        ("index", "journal + mvcc.json"),
+        ("sharded", "journal + shards.json"),
+        ("served engine", "journal + shards.json"),
+    ] {
         let scratch = tempfile::tempdir().unwrap();
         let pre = scratch.path().join("pre");
-        let built =
-            ShardedTaleDatabase::build(db.clone(), &pre, &params(), 2, &HashPolicy).unwrap();
-        drop(built);
-        let mut queries = graphs.clone();
-        queries.push(fodder.clone());
-        rows.push(sweep_sharded(
-            &pre,
+        let dir = pre.as_path();
+        match kind {
+            "index" => drop(TaleDatabase::build(db.clone(), dir, &params()).unwrap()),
+            _ => {
+                let nshards = if kind == "sharded" { 2 } else { 1 };
+                drop(
+                    ShardedTaleDatabase::build(db.clone(), dir, &params(), nshards, &HashPolicy)
+                        .unwrap(),
+                )
+            }
+        }
+        let open = |d: &Path| Handle::open(kind, d);
+        let observe = |h: &Handle| h.observe(&queries);
+        rows.push(sweep(
+            dir,
             scratch.path(),
-            &queries,
-            "sharded insert_graph (journal + manifest)",
-            |s| s.insert_graph("late", fodder.clone()).map(|_| ()),
+            &format!("{kind} insert ({commit})"),
+            open,
+            |h| h.insert(&fodder),
+            observe,
         ));
-        rows.push(sweep_sharded(
-            &pre,
+        rows.push(sweep(
+            dir,
             scratch.path(),
-            &queries,
-            "sharded remove_graph",
-            |s| s.remove_graph(GraphId(0)),
+            &format!("{kind} remove (mvcc.json tombstone)"),
+            open,
+            |h| h.remove(GraphId(0)),
+            observe,
+        ));
+        // a fold with real work: one unfolded insert and one tombstone
+        let h = open(dir).unwrap();
+        assert!(h.insert(&fodder) && h.remove(GraphId(1)));
+        drop(h);
+        rows.push(sweep(
+            dir,
+            scratch.path(),
+            &format!("{kind} fold (generation build + mvcc.json flip)"),
+            open,
+            |h| h.fold(),
+            observe,
         ));
     }
     rows

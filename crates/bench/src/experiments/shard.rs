@@ -144,7 +144,12 @@ pub fn run_shard(seed: u64, scale: Scale, threads: usize, shard_counts: &[usize]
                 build_speedup: single_build_secs / build_secs,
                 query_secs,
                 query_shard_skew: qstats.shard_skew(),
-                shard_probes: qstats.shards.iter().map(|s| s.probes).collect(),
+                // readers come in (base, delta) pairs, one pair per shard
+                shard_probes: qstats
+                    .shards
+                    .chunks(2)
+                    .map(|pair| pair.iter().map(|s| s.probes).sum())
+                    .collect(),
                 identical: super::speedup::identical(&reference, &results),
             }
         })

@@ -16,7 +16,8 @@
 //! sharded executor relies on).
 //!
 //! An overlay is immutable once built; each insert publishes a fresh one
-//! covering `[first_gid, upto)`. Removals are *not* the overlay's
+//! covering the owner's unfolded graphs — every graph for a single index,
+//! the graphs a shard owns for one shard of a sharded index. Removals are *not* the overlay's
 //! business — the MVCC snapshot filters removed graphs out of both base
 //! and delta answers, which keeps one overlay shareable across remove
 //! operations.
@@ -40,9 +41,8 @@ use crate::index::AtomicProbeCounters;
 pub struct DeltaOverlay {
     scheme: NeighborArrayScheme,
     edge_labels: bool,
-    /// Covered graph-id range: `[first_gid, upto)`.
-    first_gid: u32,
-    upto: u32,
+    /// Covered graph ids, ascending.
+    graphs: Vec<GraphId>,
     /// `(key, posting, label-pair summary)` sorted by key — the leaf
     /// level of the disk index, without the tree above it (binary search
     /// replaces the descent). The summary is the same fold the disk
@@ -57,22 +57,22 @@ pub struct DeltaOverlay {
 }
 
 impl DeltaOverlay {
-    /// Builds the overlay for graphs `[first_gid, upto)` of `db`, using
-    /// the base generation's `scheme` so signatures probe both sides
-    /// unchanged. `first_gid == upto` yields a valid empty overlay.
+    /// Builds the overlay for the listed `graphs` of `db` (ascending ids,
+    /// none of them in the base generation), using the base generation's
+    /// `scheme` so signatures probe both sides unchanged. An empty list
+    /// yields a valid empty overlay.
     pub fn build(
         db: &GraphDb,
         scheme: NeighborArrayScheme,
         edge_labels: bool,
-        first_gid: u32,
-        upto: u32,
+        graphs: Vec<GraphId>,
     ) -> Result<Self> {
         let mut stats_builder = StatsBuilder::new();
         let mut units = Vec::new();
-        for gid in first_gid..upto {
-            let g = db.try_graph(GraphId(gid))?;
+        for &gid in &graphs {
+            let g = db.try_graph(gid)?;
             stats_builder.record_graph(g.node_count() as u64, g.edge_count() as u64);
-            NhIndex::extract_graph(db, gid, g, scheme, edge_labels, &mut units);
+            NhIndex::extract_graph(db, gid.0, g, scheme, edge_labels, &mut units);
         }
         units.sort_unstable_by(|a, b| a.key.cmp(&b.key).then(a.node.cmp(&b.node)));
 
@@ -96,8 +96,7 @@ impl DeltaOverlay {
         Ok(DeltaOverlay {
             scheme,
             edge_labels,
-            first_gid,
-            upto,
+            graphs,
             postings,
             node_count,
             counters: AtomicProbeCounters::default(),
@@ -110,19 +109,14 @@ impl DeltaOverlay {
         Arc::clone(&self.stats)
     }
 
-    /// First graph id the overlay covers (== the base generation's length).
-    pub fn first_gid(&self) -> u32 {
-        self.first_gid
-    }
-
-    /// One past the last covered graph id.
-    pub fn upto(&self) -> u32 {
-        self.upto
+    /// The graph ids the overlay covers, ascending.
+    pub fn graphs(&self) -> &[GraphId] {
+        &self.graphs
     }
 
     /// Graphs held by the overlay.
     pub fn graph_count(&self) -> u32 {
-        self.upto - self.first_gid
+        self.graphs.len() as u32
     }
 
     /// Indexed nodes held by the overlay.
@@ -267,6 +261,10 @@ mod tests {
     use super::*;
     use crate::index::NhIndexConfig;
 
+    fn ids(range: std::ops::Range<usize>) -> Vec<GraphId> {
+        range.map(|i| GraphId(i as u32)).collect()
+    }
+
     /// Three small labeled graphs over a shared vocabulary.
     fn sample_db() -> GraphDb {
         let mut db = GraphDb::new();
@@ -302,7 +300,7 @@ mod tests {
             ..NhIndexConfig::default()
         };
         let full = NhIndex::build(dir.path(), &db, &config).unwrap();
-        let overlay = DeltaOverlay::build(&db, full.scheme(), false, 1, db.len() as u32).unwrap();
+        let overlay = DeltaOverlay::build(&db, full.scheme(), false, ids(1..db.len())).unwrap();
 
         for (gid, _, g) in db.iter() {
             for n in g.nodes() {
@@ -336,7 +334,7 @@ mod tests {
             ..NhIndexConfig::default()
         };
         let full = NhIndex::build(dir.path(), &db, &config).unwrap();
-        let overlay = DeltaOverlay::build(&db, full.scheme(), false, 0, db.len() as u32).unwrap();
+        let overlay = DeltaOverlay::build(&db, full.scheme(), false, ids(0..db.len())).unwrap();
         // vocab is {A,B,C} = {0,1,2}; neighbor label 3 is in no posting
         let sig = QuerySignature {
             label: 0,
@@ -365,7 +363,7 @@ mod tests {
             ..NhIndexConfig::default()
         };
         let full = NhIndex::build(dir.path(), &db, &config).unwrap();
-        let overlay = DeltaOverlay::build(&db, full.scheme(), false, 1, db.len() as u32).unwrap();
+        let overlay = DeltaOverlay::build(&db, full.scheme(), false, ids(1..db.len())).unwrap();
         let g = db.graph(GraphId(0));
         let label_of = |x: NodeId| db.effective_label(GraphId(0), x);
         let good = overlay.signature(g, g.nodes().next().unwrap(), &label_of);
@@ -392,7 +390,7 @@ mod tests {
             ..NhIndexConfig::default()
         };
         let full = NhIndex::build(dir.path(), &db, &config).unwrap();
-        let overlay = DeltaOverlay::build(&db, full.scheme(), false, 3, 3).unwrap();
+        let overlay = DeltaOverlay::build(&db, full.scheme(), false, Vec::new()).unwrap();
         assert_eq!(overlay.graph_count(), 0);
         assert_eq!(overlay.node_count(), 0);
         let g = db.graph(GraphId(0));

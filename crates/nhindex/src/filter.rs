@@ -38,11 +38,11 @@
 //! is the exact column-occupancy bitmap. Debug builds re-check every
 //! skipped posting against the real probe (`NhIndex::scan_keys`).
 //!
-//! Under mutation the same direction holds: inserts recompute the
-//! summary from the full merged posting; removes leave it alone
-//! (tombstoned rows only shrink true occupancy, so the stale summary is
-//! a superset — fewer skips, never a wrong one). A key with no entry is
-//! never skipped.
+//! Under mutation the same direction holds: an index is never modified
+//! after its build (inserts land in the delta overlay, which computes its
+//! summaries inline), and removes leave the summaries alone (tombstoned
+//! rows only shrink true occupancy, so the stale summary is a superset —
+//! fewer skips, never a wrong one). A key with no entry is never skipped.
 //!
 //! ## Persistence
 //!

@@ -26,7 +26,8 @@
 //!   that skip postings before blob prefetch (the l2Match-style pre-probe
 //!   level).
 //! * [`quality`] — the node-match quality `w` of Eq. IV.5.
-//! * [`index`] — [`NhIndex`]: build, persist, reopen and probe.
+//! * [`index`] — [`NhIndex`]: bulk build, persist, reopen and probe (an
+//!   index directory is immutable once built).
 //! * [`reader`] — [`IndexReader`]: the probe seam the engine runs against.
 //! * [`delta`] — [`DeltaOverlay`]: in-memory postings for unfolded inserts.
 //! * [`mvcc`] — [`GenerationalNhIndex`]: immutable on-disk generations with
@@ -50,9 +51,9 @@ pub use delta::DeltaOverlay;
 pub use filter::{LabelPairFilter, FILTER_FILE, FILTER_SCHEMA_VERSION};
 pub use index::{
     IntegrityReport, NhIndex, NhIndexConfig, NodeCandidate, ProbeCounters, ProbeStats,
-    QuerySignature, RecoveryReport, DEFAULT_IO_WORKERS, DEFAULT_PREFETCH_PAGES,
+    QuerySignature, DEFAULT_IO_WORKERS, DEFAULT_PREFETCH_PAGES,
 };
-pub use mvcc::{FoldReport, GenerationInfo, GenerationalNhIndex, MvccRecovery, Snapshot};
+pub use mvcc::{FoldReport, GenerationInfo, GenerationalNhIndex, MvccRecovery, SharedIo, Snapshot};
 pub use posting::{NodeRef, Posting};
 pub use quality::node_match_quality;
 pub use reader::IndexReader;

@@ -8,9 +8,16 @@
 //!   built.
 //! * Inserts accumulate in an in-memory [`DeltaOverlay`]; removals
 //!   accumulate in a tombstone set consulted when filtering probe
-//!   answers. Both are recorded in the `mvcc.json` manifest (the delta's
-//!   *contents* are re-derived from the graph database on open — graphs
-//!   `[base_len, len)` are by construction the not-yet-folded ones).
+//!   answers. Tombstones are recorded in the `mvcc.json` manifest; the
+//!   delta's *contents* are re-derived from the graph database on open —
+//!   the owned graphs with ids `>= base_len` are by construction the
+//!   not-yet-folded ones.
+//! * An index **owns** a set of graphs: every graph of the database for
+//!   the single-index database, the graphs `shards.json` assigns to it
+//!   for one shard of a sharded index. The owner passes that set to
+//!   [`build_owned`](GenerationalNhIndex::build_owned) and
+//!   [`open_owned`](GenerationalNhIndex::open_owned); folds keep covering
+//!   exactly the owned graphs.
 //! * [`fold`](GenerationalNhIndex::fold) builds delta + base − removed
 //!   into generation `N+1` on disk and commits it with one atomic
 //!   manifest flip. The old generation's directory is deleted when the
@@ -32,14 +39,15 @@
 //!
 //! ## Crash safety
 //!
-//! The manifest is written with [`tale_storage::atomic::write_atomic`] —
-//! the same gated commit point the crash-torture harness drives. A
-//! mutation's only durable step *is* the manifest write (`graphs.json`
-//! durability is the caller's job, sequenced by its mutation journal), so
-//! a crash mid-fold leaves either the old manifest (generation `N`, delta
-//! re-derived on open) or the new one (generation `N+1`, empty delta) —
-//! never a hybrid. Orphaned generation directories from unfinished folds
-//! are swept on open.
+//! No page of a generation is ever rewritten, so there is nothing to log
+//! or roll back. The manifest is written with
+//! [`tale_storage::atomic::write_atomic`] — the same gated commit point
+//! the crash-torture harness drives. A mutation's only durable step *is*
+//! the manifest write (`graphs.json` durability is the caller's job,
+//! sequenced by its mutation journal), so a crash mid-fold leaves either
+//! the old manifest (generation `N`, delta re-derived on open) or the new
+//! one (generation `N+1`, empty delta) — never a hybrid. Orphaned
+//! generation directories from unfinished folds are swept on open.
 //!
 //! ## Cache epochs
 //!
@@ -63,7 +71,7 @@
 //! structurally gone.
 
 use crate::delta::DeltaOverlay;
-use crate::index::{NhIndexConfig, ProbeCounters, RecoveryReport};
+use crate::index::{NhIndexConfig, ProbeCounters};
 use crate::reader::IndexReader;
 use crate::{NhError, NhIndex, Result};
 use parking_lot::{Mutex, RwLock};
@@ -73,6 +81,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use tale_graph::{GraphDb, GraphId};
+use tale_storage::IoPool;
 
 const MVCC_FILE: &str = "mvcc.json";
 const GENS_DIR: &str = "gens";
@@ -89,8 +98,9 @@ struct MvccManifest {
     /// unchanged by a fold (a fold changes representation, not contents).
     /// The mutation journal records it as the pre-mutation generation.
     logical: u64,
-    /// Graphs `[0, base_len)` are covered by the on-disk generation;
-    /// graphs `[base_len, db.len())` are the delta (re-derived on open).
+    /// Owned graphs with ids `< base_len` are covered by the on-disk
+    /// generation; owned graphs with ids `>= base_len` are the delta
+    /// (re-derived on open).
     base_len: u32,
     /// Tombstoned graph ids, filtered out of every probe answer until the
     /// next fold drops their postings entirely.
@@ -135,6 +145,9 @@ impl Drop for Generation {
 /// overlay, tombstones, and the cache epochs derived from them.
 struct MvccState {
     base: Arc<Generation>,
+    /// Graphs the base generation was built over plus those it excluded
+    /// as tombstoned — the owned ids `< base_len`, ascending.
+    base_graphs: Arc<Vec<GraphId>>,
     delta: Arc<DeltaOverlay>,
     removed: Arc<HashSet<u32>>,
     logical: u64,
@@ -354,10 +367,8 @@ impl IndexReader for DeltaReader<'_> {
 /// What [`GenerationalNhIndex::open`] found and did.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct MvccRecovery {
-    /// WAL recovery of the current generation's index (always a no-op
-    /// transaction-wise — generations are never mutated — but reported
-    /// for symmetry with the in-place path).
-    pub index: RecoveryReport,
+    /// The generation the manifest names (the one opened).
+    pub generation: u64,
     /// Orphaned generation numbers swept from `gens/` (unfinished folds,
     /// or retired generations whose process died before GC).
     pub swept: Vec<u64>,
@@ -388,11 +399,42 @@ pub struct GenerationInfo {
     pub current: bool,
 }
 
+/// The async read path shared by every generation of every index in a
+/// process: one worker pool, and the staging capacity each page file's
+/// prefetcher gets on it.
+#[derive(Clone)]
+pub struct SharedIo {
+    /// The worker pool.
+    pub pool: Arc<IoPool>,
+    /// Prefetch staging capacity in pages, per page file.
+    pub staging_pages: usize,
+}
+
+impl SharedIo {
+    /// A fresh pool of `workers` threads, or `None` when `workers == 0`
+    /// (prefetching disabled).
+    pub fn new(workers: usize, staging_pages: usize) -> Option<SharedIo> {
+        (workers > 0).then(|| SharedIo {
+            pool: IoPool::new(workers),
+            staging_pages,
+        })
+    }
+
+    fn attach(io: &Option<SharedIo>, index: &mut NhIndex) {
+        if let Some(io) = io {
+            index.attach_io(Arc::clone(&io.pool), io.staging_pages);
+        }
+    }
+}
+
 /// The MVCC index: immutable on-disk generations + in-memory delta, with
 /// snapshot reads and single-writer mutations through `&self`.
 pub struct GenerationalNhIndex {
     dir: PathBuf,
+    /// Build configuration for folds (`io_workers` is always 0: every
+    /// generation is bound to `io` instead).
     config: NhIndexConfig,
+    io: Option<SharedIo>,
     state: RwLock<Arc<MvccState>>,
     /// Serializes mutations (insert/remove/fold). Readers never touch it.
     writer: Mutex<()>,
@@ -428,16 +470,36 @@ impl GenerationalNhIndex {
         Ok(m)
     }
 
-    /// Builds generation 0 for `db` into `dir` and commits the initial
-    /// manifest. Any `gens/` leftovers from a previous index in this
-    /// directory are cleared first (fresh build = fresh history).
+    /// Builds generation 0 for every graph of `db` into `dir` and commits
+    /// the initial manifest, with a read path of `config.io_workers`
+    /// workers (see [`GenerationalNhIndex::build_owned`]).
     pub fn build(dir: &Path, db: &GraphDb, config: &NhIndexConfig) -> Result<Self> {
+        let io = SharedIo::new(config.io_workers, config.prefetch_pages);
+        Self::build_owned(dir, db, config, all_graphs(db), io)
+    }
+
+    /// Builds generation 0 over the `owned` graphs of `db` (ascending
+    /// ids) into `dir` and commits the initial manifest. Any `gens/`
+    /// leftovers from a previous index in this directory are cleared first
+    /// (fresh build = fresh history). Every generation binds its page
+    /// files to `io` (`config.io_workers` is ignored).
+    pub fn build_owned(
+        dir: &Path,
+        db: &GraphDb,
+        config: &NhIndexConfig,
+        owned: Vec<GraphId>,
+        io: Option<SharedIo>,
+    ) -> Result<Self> {
         let gens = dir.join(GENS_DIR);
         if gens.exists() {
             std::fs::remove_dir_all(&gens)?;
         }
-        let g0 = Self::gen_dir(dir, 0);
-        let index = NhIndex::build(&g0, db, config)?;
+        let config = NhIndexConfig {
+            io_workers: 0,
+            ..config.clone()
+        };
+        let mut index = NhIndex::build_subset(&Self::gen_dir(dir, 0), db, &config, &owned)?;
+        SharedIo::attach(&io, &mut index);
         let base_len = db.len() as u32;
         Self::write_manifest(
             dir,
@@ -449,18 +511,14 @@ impl GenerationalNhIndex {
                 removed: Vec::new(),
             },
         )?;
-        let delta = DeltaOverlay::build(
-            db,
-            index.scheme(),
-            config.use_edge_labels,
-            base_len,
-            base_len,
-        )?;
+        let delta = DeltaOverlay::build(db, index.scheme(), config.use_edge_labels, Vec::new())?;
         Ok(Self::assemble(
             dir,
-            config.clone(),
+            config,
+            io,
             index,
             0,
+            owned,
             delta,
             HashSet::new(),
             0,
@@ -472,8 +530,10 @@ impl GenerationalNhIndex {
     fn assemble(
         dir: &Path,
         config: NhIndexConfig,
+        io: Option<SharedIo>,
         index: NhIndex,
         number: u64,
+        base_graphs: Vec<GraphId>,
         delta: DeltaOverlay,
         removed: HashSet<u32>,
         logical: u64,
@@ -486,6 +546,7 @@ impl GenerationalNhIndex {
                 dir: Self::gen_dir(dir, number),
                 retired: AtomicBool::new(false),
             }),
+            base_graphs: Arc::new(base_graphs),
             delta: Arc::new(delta),
             removed: Arc::new(removed),
             logical,
@@ -497,6 +558,7 @@ impl GenerationalNhIndex {
         GenerationalNhIndex {
             dir: dir.to_owned(),
             config,
+            io,
             state: RwLock::new(state),
             writer: Mutex::new(()),
             states: Mutex::new(states),
@@ -511,17 +573,31 @@ impl GenerationalNhIndex {
         Ok(Self::read_manifest(dir)?.logical)
     }
 
+    /// Reopens an index owning every graph of `db`, with a read path of
+    /// the default size (see [`GenerationalNhIndex::open_owned`]).
+    pub fn open(dir: &Path, db: &GraphDb, buffer_frames: usize) -> Result<(Self, MvccRecovery)> {
+        let io = SharedIo::new(crate::DEFAULT_IO_WORKERS, crate::DEFAULT_PREFETCH_PAGES);
+        Self::open_owned(dir, db, &all_graphs(db), buffer_frames, io)
+    }
+
     /// Reopens the index: loads the manifest, opens the current
-    /// generation (running its — always empty — WAL recovery), sweeps
-    /// orphaned generation directories, and re-derives the delta overlay
-    /// from `db` (graphs `[base_len, db.len())` are the unfolded ones).
+    /// generation, sweeps orphaned generation directories, and re-derives
+    /// the delta overlay from `db` (the `owned` graphs — ascending ids —
+    /// at or past `base_len` are the unfolded ones).
     ///
     /// `db` must be the *recovered* graph database: run the mutation
-    /// journal against [`GenerationalNhIndex::peek_logical`] first.
-    pub fn open(dir: &Path, db: &GraphDb, buffer_frames: usize) -> Result<(Self, MvccRecovery)> {
+    /// journal first.
+    pub fn open_owned(
+        dir: &Path,
+        db: &GraphDb,
+        owned: &[GraphId],
+        buffer_frames: usize,
+        io: Option<SharedIo>,
+    ) -> Result<(Self, MvccRecovery)> {
         let manifest = Self::read_manifest(dir)?;
         let gdir = Self::gen_dir(dir, manifest.current);
-        let (index, report) = NhIndex::open_with_recovery(&gdir, buffer_frames)?;
+        let mut index = NhIndex::open_io(&gdir, buffer_frames, 0, 0)?;
+        SharedIo::attach(&io, &mut index);
 
         // Sweep every generation directory except the current one:
         // unfinished folds (crash before the manifest flip) and retired
@@ -549,12 +625,12 @@ impl GenerationalNhIndex {
                 manifest.base_len
             )));
         }
+        let split = owned.partition_point(|g| g.0 < manifest.base_len);
         let delta = DeltaOverlay::build(
             db,
             index.scheme(),
             index.edge_labels(),
-            manifest.base_len,
-            n,
+            owned[split..].to_vec(),
         )?;
         let scheme = index.scheme();
         let config = NhIndexConfig {
@@ -562,13 +638,16 @@ impl GenerationalNhIndex {
             buffer_frames,
             bloom_hashes: scheme.hashes,
             use_edge_labels: index.edge_labels(),
+            io_workers: 0,
             ..NhIndexConfig::default()
         };
         let idx = Self::assemble(
             dir,
             config,
+            io,
             index,
             manifest.current,
+            owned[..split].to_vec(),
             delta,
             manifest.removed.into_iter().collect(),
             manifest.logical,
@@ -577,7 +656,7 @@ impl GenerationalNhIndex {
         Ok((
             idx,
             MvccRecovery {
-                index: report,
+                generation: manifest.current,
                 swept,
             },
         ))
@@ -605,47 +684,60 @@ impl GenerationalNhIndex {
 
     /// Records the insertion of graph `gid` (already inserted into `db`
     /// by the caller). Publishes a fresh delta overlay covering every
-    /// unfolded graph; the on-disk generation and the base cache epoch
-    /// are untouched, so in-flight readers and base-derived cache entries
-    /// are completely unaffected. The manifest write (bumping the logical
-    /// counter) is the commit point.
+    /// unfolded owned graph; the on-disk generation and the base cache
+    /// epoch are untouched, so in-flight readers and base-derived cache
+    /// entries are completely unaffected. The manifest write (bumping the
+    /// logical counter) is the commit point.
     pub fn insert_graph(&self, db: &GraphDb, gid: GraphId) -> Result<()> {
+        self.insert(db, gid, true)
+    }
+
+    /// [`insert_graph`](GenerationalNhIndex::insert_graph) without the
+    /// manifest write: for an owner whose own manifest commits the insert
+    /// (a shard of a sharded index commits by its `shards.json`
+    /// assignment, and the delta is re-derived from that on open).
+    pub fn extend_delta(&self, db: &GraphDb, gid: GraphId) -> Result<()> {
+        self.insert(db, gid, false)
+    }
+
+    fn insert(&self, db: &GraphDb, gid: GraphId, persist: bool) -> Result<()> {
         let _w = self.writer.lock();
         db.try_graph(gid)?;
         let state = self.state.read().clone();
-        if gid.0 < state.base_len {
+        if gid.0 < state.base_len || state.delta.graphs().last().is_some_and(|&g| g >= gid) {
             return Err(NhError::Meta(format!(
-                "graph {} is already covered by generation {}",
+                "graph {} is already indexed (generation {})",
                 gid.0, state.base.number
             )));
         }
-        let n = db.len() as u32;
+        let mut graphs = state.delta.graphs().to_vec();
+        graphs.push(gid);
         let delta = DeltaOverlay::build(
             db,
             state.base.index.scheme(),
             state.base.index.edge_labels(),
-            state.base_len,
-            n,
+            graphs,
         )?;
-        let mut removed: Vec<u32> = state.removed.iter().copied().collect();
-        removed.sort_unstable();
-        Self::write_manifest(
-            &self.dir,
-            &MvccManifest {
-                schema_version: SCHEMA_VERSION,
-                current: state.base.number,
-                logical: state.logical + 1,
-                base_len: state.base_len,
-                removed,
-            },
-        )?;
+        if persist {
+            Self::write_manifest(
+                &self.dir,
+                &MvccManifest {
+                    schema_version: SCHEMA_VERSION,
+                    current: state.base.number,
+                    logical: state.logical + 1,
+                    base_len: state.base_len,
+                    removed: sorted(&state.removed),
+                },
+            )?;
+        }
         self.publish(
             state.base.number,
             MvccState {
                 base: Arc::clone(&state.base),
+                base_graphs: Arc::clone(&state.base_graphs),
                 delta: Arc::new(delta),
                 removed: Arc::clone(&state.removed),
-                logical: state.logical + 1,
+                logical: state.logical + u64::from(persist),
                 base_len: state.base_len,
                 base_epoch: state.base_epoch,
                 delta_epoch: self.next_epoch(),
@@ -666,8 +758,6 @@ impl GenerationalNhIndex {
         let state = self.state.read().clone();
         let mut removed: HashSet<u32> = (*state.removed).clone();
         removed.insert(graph.0);
-        let mut removed_sorted: Vec<u32> = removed.iter().copied().collect();
-        removed_sorted.sort_unstable();
         Self::write_manifest(
             &self.dir,
             &MvccManifest {
@@ -675,13 +765,14 @@ impl GenerationalNhIndex {
                 current: state.base.number,
                 logical: state.logical + 1,
                 base_len: state.base_len,
-                removed: removed_sorted,
+                removed: sorted(&removed),
             },
         )?;
         self.publish(
             state.base.number,
             MvccState {
                 base: Arc::clone(&state.base),
+                base_graphs: Arc::clone(&state.base_graphs),
                 delta: Arc::clone(&state.delta),
                 removed: Arc::new(removed),
                 logical: state.logical + 1,
@@ -694,8 +785,9 @@ impl GenerationalNhIndex {
     }
 
     /// Folds the delta and the tombstones into a new on-disk generation:
-    /// builds `gens/g{N+1}` from every live graph (scheme re-derived from
-    /// the current vocabulary, exactly as a from-scratch rebuild would),
+    /// builds `gens/g{N+1}` from every live owned graph (scheme re-derived
+    /// from the current vocabulary, exactly as a from-scratch rebuild
+    /// would — so indexes folded against one `db` share one scheme),
     /// commits it with one atomic manifest flip, publishes the new state
     /// with an empty delta, and retires generation `N` — its directory is
     /// deleted when the last snapshot pinning it drops.
@@ -713,16 +805,23 @@ impl GenerationalNhIndex {
         let _w = self.writer.lock();
         let state = self.state.read().clone();
         let n = db.len() as u32;
-        let live: Vec<GraphId> = (0..n)
-            .filter(|g| !state.removed.contains(g))
-            .map(GraphId)
+        let covered: Vec<GraphId> = state
+            .base_graphs
+            .iter()
+            .chain(state.delta.graphs())
+            .copied()
+            .collect();
+        let live: Vec<GraphId> = covered
+            .iter()
+            .copied()
+            .filter(|g| !state.removed.contains(&g.0))
             .collect();
         let new_number = state.base.number + 1;
         let gdir = Self::gen_dir(&self.dir, new_number);
         if gdir.exists() {
             std::fs::remove_dir_all(&gdir)?;
         }
-        let index = match NhIndex::build_subset(&gdir, db, &self.config, &live) {
+        let mut index = match NhIndex::build_subset(&gdir, db, &self.config, &live) {
             Ok(idx) => idx,
             Err(e) => {
                 // Best-effort cleanup; open() sweeps leftovers anyway.
@@ -735,8 +834,7 @@ impl GenerationalNhIndex {
             folded_inserts: state.delta.graph_count(),
             folded_removes: state.removed.len(),
         };
-        let mut removed_sorted: Vec<u32> = state.removed.iter().copied().collect();
-        removed_sorted.sort_unstable();
+        SharedIo::attach(&self.io, &mut index);
         // Commit point: after this write, open() lands on the new
         // generation; before it, on the old one (with the delta
         // re-derived from the database). Never on a hybrid.
@@ -747,10 +845,11 @@ impl GenerationalNhIndex {
                 current: new_number,
                 logical: state.logical,
                 base_len: n,
-                removed: removed_sorted,
+                removed: sorted(&state.removed),
             },
         )?;
-        let delta = DeltaOverlay::build(db, index.scheme(), self.config.use_edge_labels, n, n)?;
+        let delta =
+            DeltaOverlay::build(db, index.scheme(), self.config.use_edge_labels, Vec::new())?;
         state.base.retired.store(true, Ordering::Release);
         self.publish(
             new_number,
@@ -761,6 +860,7 @@ impl GenerationalNhIndex {
                     dir: gdir,
                     retired: AtomicBool::new(false),
                 }),
+                base_graphs: Arc::new(covered),
                 delta: Arc::new(delta),
                 removed: Arc::clone(&state.removed),
                 logical: state.logical,
@@ -796,6 +896,12 @@ impl GenerationalNhIndex {
     /// file after [`GenerationalNhIndex::open`]).
     pub fn config(&self) -> &NhIndexConfig {
         &self.config
+    }
+
+    /// The shared async read path every generation is bound to (`None`
+    /// when prefetching is disabled).
+    pub fn shared_io(&self) -> Option<&SharedIo> {
+        self.io.as_ref()
     }
 
     /// Live generations with their reader pin counts: the current one
@@ -890,6 +996,16 @@ impl GenerationalNhIndex {
     pub fn prefetch_stats(&self) -> tale_storage::PrefetchStats {
         self.state.read().base.index.prefetch_stats()
     }
+}
+
+fn all_graphs(db: &GraphDb) -> Vec<GraphId> {
+    (0..db.len() as u32).map(GraphId).collect()
+}
+
+fn sorted(set: &HashSet<u32>) -> Vec<u32> {
+    let mut v: Vec<u32> = set.iter().copied().collect();
+    v.sort_unstable();
+    v
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! buffer-pool counters for attribution. [`IndexReader`] captures exactly
 //! that surface so the same engine code runs against
 //!
-//! * a plain [`NhIndex`] (the sharded path mutates these in place),
+//! * a plain [`NhIndex`] (immutable once built),
 //! * an MVCC base generation (an `NhIndex` filtered by a snapshot's
 //!   removed set), and
 //! * the in-memory delta overlay holding not-yet-folded inserts,
@@ -148,10 +148,9 @@ impl IndexReader for NhIndex {
         NhIndex::pool_stats(self)
     }
 
-    /// The persisted mutation counter: every committed `insert_graph` /
-    /// `remove_graph` bumps it, so in-place mutations (the sharded path)
-    /// retire old cache entries by moving to a new key space.
+    /// A plain index never changes after its build, so one key space
+    /// serves its whole lifetime.
     fn cache_generation(&self) -> u64 {
-        self.generation()
+        0
     }
 }

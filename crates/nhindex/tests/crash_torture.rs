@@ -1,20 +1,24 @@
-//! Crash-torture harness: every I/O operation of every mutation is failed
-//! in turn, the process death is simulated by dropping the handle with the
-//! fault still tripped (so even the buffer pool's best-effort `Drop` flush
-//! fails), and the reopened index must be *bit-identical in query output*
-//! to either the pre-mutation state (rolled back) or the post-mutation
-//! state (committed) — never anything in between.
+//! Crash-torture harness for the generational index: every gated I/O
+//! operation of every mutation (insert, remove, fold) is failed in turn,
+//! process death is simulated by dropping the handle with the fault still
+//! tripped (so even the buffer pool's best-effort `Drop` flush fails), and
+//! the reopened index must be *bit-identical in query output* to either
+//! the pre-mutation state (not committed) or the post-mutation state
+//! (committed) — never anything in between. An index directory is never
+//! rewritten in place, so the only durable step of a mutation is its
+//! atomic `mvcc.json` write (plus, for a fold, a generation build that an
+//! open sweeps if the flip never happened).
 //!
 //! The fault shim is thread-local, so these tests are safe under the
 //! default parallel test runner.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
-use tale_nhindex::{NhIndex, NhIndexConfig, NodeCandidate};
+use tale_nhindex::{GenerationalNhIndex, IndexReader, NhIndex, NhIndexConfig, NodeCandidate};
 use tale_storage::faults;
 
-/// Tiny pool so mutations overflow it and exercise eviction write-backs
-/// (which must WAL-protect their pages) mid-transaction.
+/// Tiny pool so generation builds overflow it and exercise eviction
+/// write-backs.
 fn cfg() -> NhIndexConfig {
     NhIndexConfig {
         sbit: 32,
@@ -83,142 +87,229 @@ fn sample_db() -> GraphDb {
     db
 }
 
-const INITIAL: [GraphId; 3] = [GraphId(0), GraphId(1), GraphId(2)];
+/// The first `n` graphs of `db` over its full vocabulary — the graph
+/// store as it stood before later inserts.
+fn prefix(db: &GraphDb, n: usize) -> GraphDb {
+    let mut out = GraphDb::new();
+    for (_, name) in db.node_vocab().iter() {
+        out.intern_node_label(name);
+    }
+    for (_, name, g) in db.iter().take(n) {
+        out.insert(name.to_owned(), g.clone());
+    }
+    out
+}
 
-/// Probes every node of every graph in `db` and returns the full sorted
-/// answer set — the "query output" whose bit-identity the torture asserts.
-fn probe_matrix(idx: &NhIndex, db: &GraphDb) -> Vec<Vec<NodeCandidate>> {
+/// Full probe matrix through a snapshot (base + delta concatenated,
+/// sorted per node) over every graph of `probe_db` — the query output
+/// whose bit-identity the torture asserts.
+fn probe_matrix(idx: &GenerationalNhIndex, probe_db: &GraphDb) -> Vec<Vec<NodeCandidate>> {
+    let snap = idx.snapshot();
     let mut out = Vec::new();
-    for (gid, _, g) in db.iter() {
-        for n in g.nodes() {
-            let sig = idx.signature(g, n, &|x| db.effective_label(gid, x));
-            let mut hits = idx.probe(&sig, 0.3).unwrap();
-            hits.sort_by_key(|h| h.node);
+    for (gid, _, g) in probe_db.iter() {
+        let label_of = |n: NodeId| probe_db.effective_label(gid, n);
+        let sigs: Vec<_> = g
+            .nodes()
+            .map(|n| snap.base().signature(g, n, &label_of))
+            .collect();
+        let base = snap.base_reader().probe_batch(&sigs, 0.3, 1).unwrap();
+        let delta = snap.delta_reader().probe_batch(&sigs, 0.3, 1).unwrap();
+        for ((mut hits, _), (d, _)) in base.into_iter().zip(delta) {
+            hits.extend(d);
+            hits.sort_by_key(|c| c.node);
             out.push(hits);
         }
     }
     out
 }
 
-fn copy_dir(src: &Path, dst: &Path) {
+/// What a reopened index is observed as: its probe matrix plus the
+/// durable counters (logical mutations, current generation, tombstones).
+type Observed = (Vec<Vec<NodeCandidate>>, [u64; 3]);
+
+fn observe(idx: &GenerationalNhIndex, probe_db: &GraphDb) -> Observed {
+    let snap = idx.snapshot();
+    let marks = [
+        snap.logical(),
+        snap.base_generation(),
+        snap.removed_count() as u64,
+    ];
+    (probe_matrix(idx, probe_db), marks)
+}
+
+fn copy_tree(src: &Path, dst: &Path) {
     std::fs::create_dir_all(dst).unwrap();
     for entry in std::fs::read_dir(src).unwrap() {
         let entry = entry.unwrap();
-        std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+        if entry.file_type().unwrap().is_dir() {
+            copy_tree(&entry.path(), &dst.join(entry.file_name()));
+        } else {
+            std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+        }
     }
 }
 
+/// Reopens `dir` the way its owner's journal would: against `post_db`
+/// when the logical counter shows the mutation committed, else `pre_db`.
+fn reopen(
+    dir: &Path,
+    pre_db: &GraphDb,
+    post_db: &GraphDb,
+    pre_logical: u64,
+) -> GenerationalNhIndex {
+    let db = if GenerationalNhIndex::peek_logical(dir).unwrap() > pre_logical {
+        post_db
+    } else {
+        pre_db
+    };
+    GenerationalNhIndex::open(dir, db, cfg().buffer_frames)
+        .unwrap()
+        .0
+}
+
 /// Runs `mutate` against a copy of `pre` failing the `i`-th gated I/O
-/// operation for every `i`, and asserts the recovered index is query-
-/// identical to the pre state (not committed) or the post state
-/// (committed). Returns the number of fault points swept.
-fn sweep<F>(db: &GraphDb, pre: &Path, scratch: &Path, mutate: F) -> u64
+/// operation for every `i`, and asserts the recovered index is observed
+/// exactly as the pre state or the post state, with generation
+/// directories swept and a clean integrity check. `pre_db` is the graph
+/// store before the mutation, `post_db` after it. Returns the number of
+/// fault points swept.
+fn sweep<F>(pre: &Path, scratch: &Path, pre_db: &GraphDb, post_db: &GraphDb, mutate: F) -> u64
 where
-    F: Fn(&mut NhIndex) -> tale_nhindex::Result<()>,
+    F: Fn(&GenerationalNhIndex) -> tale_nhindex::Result<()>,
 {
-    // Reference states: pre as-is, post = clean mutation on a copy.
-    let pre_idx = NhIndex::open(pre, cfg().buffer_frames).unwrap();
-    let pre_gen = pre_idx.generation();
-    let pre_matrix = probe_matrix(&pre_idx, db);
-    drop(pre_idx);
+    let pre_logical = GenerationalNhIndex::peek_logical(pre).unwrap();
+    let pre_state = observe(&reopen(pre, pre_db, post_db, pre_logical), post_db);
 
     let post_dir = scratch.join("post");
-    copy_dir(pre, &post_dir);
-    let mut post_idx = NhIndex::open(&post_dir, cfg().buffer_frames).unwrap();
-    mutate(&mut post_idx).unwrap();
-    let post_gen = post_idx.generation();
-    let post_matrix = probe_matrix(&post_idx, db);
-    drop(post_idx);
-    assert_eq!(post_gen, pre_gen + 1);
+    copy_tree(pre, &post_dir);
+    let idx = reopen(&post_dir, pre_db, post_db, pre_logical);
+    mutate(&idx).unwrap();
+    drop(idx);
+    let post_state = observe(&reopen(&post_dir, pre_db, post_db, pre_logical), post_db);
+    assert_ne!(pre_state.1, post_state.1, "the mutation committed nothing");
 
     // Measuring run: how many gated I/O operations does the mutation make?
     let count_dir = scratch.join("count");
-    copy_dir(pre, &count_dir);
-    let mut idx = NhIndex::open(&count_dir, cfg().buffer_frames).unwrap();
+    copy_tree(pre, &count_dir);
+    let idx = reopen(&count_dir, pre_db, post_db, pre_logical);
     faults::arm_counting();
-    mutate(&mut idx).unwrap();
+    mutate(&idx).unwrap();
     let n = faults::disarm();
     drop(idx);
     assert!(n > 0, "mutation made no gated I/O");
 
     for i in 0..n {
         let work = scratch.join(format!("fault-{i}"));
-        copy_dir(pre, &work);
-        let mut idx = NhIndex::open(&work, cfg().buffer_frames).unwrap();
+        copy_tree(pre, &work);
+        let idx = reopen(&work, pre_db, post_db, pre_logical);
         faults::arm(i);
-        let res = mutate(&mut idx);
-        drop(idx); // Drop flush also fails: the process is "dead"
+        let res = mutate(&idx);
+        drop(idx); // the process is "dead"; no GC runs
         faults::disarm();
         assert!(res.is_err(), "fault {i} of {n} did not surface");
 
-        let (idx, report) = NhIndex::open_with_recovery(&work, cfg().buffer_frames).unwrap();
-        assert!(report.wal_present, "fault {i}: WAL missing on reopen");
+        let idx = reopen(&work, pre_db, post_db, pre_logical);
+        let got = observe(&idx, post_db);
         assert!(
-            !(report.rolled_back && report.committed),
-            "fault {i}: recovery both rolled back and committed"
+            got == pre_state || got == post_state,
+            "fault {i} of {n}: recovered state is neither pre nor post (marks {:?})",
+            got.1
         );
-        let matrix = probe_matrix(&idx, db);
-        if idx.generation() == post_gen {
-            assert_eq!(
-                matrix, post_matrix,
-                "fault {i} of {n}: committed state differs from clean mutation"
-            );
-        } else {
-            assert_eq!(idx.generation(), pre_gen, "fault {i}: generation corrupt");
-            assert_eq!(
-                matrix, pre_matrix,
-                "fault {i} of {n}: rolled-back state differs from pre-op"
-            );
-        }
+        assert_gens_swept(&work, idx.current_generation());
         let integrity = idx.verify().unwrap();
         assert!(
             integrity.is_ok(),
             "fault {i} of {n}: integrity errors after recovery: {:?}",
             integrity.errors
         );
+        drop(idx);
         std::fs::remove_dir_all(&work).unwrap();
     }
+    std::fs::remove_dir_all(&post_dir).unwrap();
+    std::fs::remove_dir_all(&count_dir).unwrap();
     n
+}
+
+/// `gens/` must hold exactly the current generation's directory.
+fn assert_gens_swept(dir: &Path, current: u64) {
+    let names: Vec<String> = std::fs::read_dir(dir.join("gens"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(
+        names,
+        vec![format!("g{current}")],
+        "orphaned generation directories not swept"
+    );
 }
 
 #[test]
 fn torture_insert_graph() {
     let db = sample_db();
+    let (db3, db4) = (prefix(&db, 3), prefix(&db, 4));
     let scratch = tempfile::tempdir().unwrap();
     let pre = scratch.path().join("pre");
-    NhIndex::build_subset(&pre, &db, &cfg(), &INITIAL).unwrap();
-    let n = sweep(&db, &pre, scratch.path(), |idx| {
-        idx.insert_graph(&db, GraphId(3))
+    GenerationalNhIndex::build(&pre, &db3, &cfg()).unwrap();
+    let n = sweep(&pre, scratch.path(), &db3, &db4, |idx| {
+        idx.insert_graph(&db4, GraphId(3))
     });
-    // sanity: insert touches WAL, pages and the manifest — many gates
-    assert!(n >= 5, "suspiciously few fault points: {n}");
+    // the insert's one durable step: the atomic mvcc.json write
+    assert_eq!(n, 2, "insert fault points");
 }
 
 #[test]
 fn torture_remove_graph() {
-    let db = sample_db();
+    let db3 = prefix(&sample_db(), 3);
     let scratch = tempfile::tempdir().unwrap();
     let pre = scratch.path().join("pre");
-    NhIndex::build_subset(&pre, &db, &cfg(), &INITIAL).unwrap();
-    sweep(&db, &pre, scratch.path(), |idx| {
-        idx.remove_graph(GraphId(1), db.effective_vocab_size() as u64)
+    GenerationalNhIndex::build(&pre, &db3, &cfg()).unwrap();
+    sweep(&pre, scratch.path(), &db3, &db3, |idx| {
+        idx.remove_graph(GraphId(1))
     });
 }
 
 #[test]
 fn torture_second_insert_after_first_commits() {
-    // The WAL holds at most one transaction; a crash in mutation k must
-    // not disturb mutation k-1's committed state.
+    // A crash in mutation k must not disturb mutation k-1's committed
+    // state.
     let db = sample_db();
+    let (db3, db4, db5) = (prefix(&db, 3), prefix(&db, 4), prefix(&db, 5));
     let scratch = tempfile::tempdir().unwrap();
     let pre = scratch.path().join("pre");
-    let mut idx = NhIndex::build_subset(&pre, &db, &cfg(), &INITIAL).unwrap();
-    idx.insert_graph(&db, GraphId(3)).unwrap();
+    let idx = GenerationalNhIndex::build(&pre, &db3, &cfg()).unwrap();
+    idx.insert_graph(&db4, GraphId(3)).unwrap();
     drop(idx);
-    sweep(&db, &pre, scratch.path(), |idx| {
-        idx.insert_graph(&db, GraphId(4))
+    sweep(&pre, scratch.path(), &db4, &db5, |idx| {
+        idx.insert_graph(&db5, GraphId(4))
     });
 }
+
+#[test]
+fn torture_fold() {
+    // A fold with real work (an unfolded insert and a tombstone) lands on
+    // exactly generation G or G+1, answering identically either way — a
+    // fold changes representation, never contents.
+    let db = sample_db();
+    let (db4, db5) = (prefix(&db, 4), prefix(&db, 5));
+    let scratch = tempfile::tempdir().unwrap();
+    let pre = scratch.path().join("pre");
+    let idx = GenerationalNhIndex::build(&pre, &db4, &cfg()).unwrap();
+    idx.insert_graph(&db5, GraphId(4)).unwrap();
+    idx.remove_graph(GraphId(1)).unwrap();
+    let before = probe_matrix(&idx, &db5);
+    drop(idx);
+    let n = sweep(&pre, scratch.path(), &db5, &db5, |idx| {
+        let report = idx.fold(&db5)?;
+        assert_eq!((report.folded_inserts, report.folded_removes), (1, 1));
+        Ok(())
+    });
+    assert!(n >= 3, "suspiciously few fold fault points: {n}");
+    let (idx, _) = GenerationalNhIndex::open(&pre, &db5, cfg().buffer_frames).unwrap();
+    idx.fold(&db5).unwrap();
+    assert_eq!(probe_matrix(&idx, &db5), before, "fold changed answers");
+}
+
+const INITIAL: [GraphId; 3] = [GraphId(0), GraphId(1), GraphId(2)];
 
 #[test]
 fn bit_flip_is_refused_not_served() {
@@ -251,183 +342,6 @@ fn bit_flip_is_refused_not_served() {
     );
 }
 
-mod mvcc_fold {
-    //! Mid-fold kill: every gated I/O of a generational fold is failed in
-    //! turn, the handle is dropped with the fault tripped, and the
-    //! reopened index must land on exactly generation G (fold never
-    //! committed) or G+1 (manifest flip landed) — with orphaned
-    //! generation directories swept and query output bit-identical either
-    //! way, because a fold changes representation, never contents.
-
-    use super::sample_db;
-    use std::path::Path;
-    use tale_graph::{Graph, GraphDb, GraphId, NodeId};
-    use tale_nhindex::{GenerationalNhIndex, IndexReader, NhIndexConfig, NodeCandidate};
-    use tale_storage::faults;
-
-    fn cfg() -> NhIndexConfig {
-        NhIndexConfig {
-            sbit: 32,
-            buffer_frames: 8,
-            parallel_build: false,
-            bloom_hashes: 1,
-            use_edge_labels: false,
-            ..NhIndexConfig::default()
-        }
-    }
-
-    /// Recursive variant of `copy_dir` — a generational index directory
-    /// holds `mvcc.json` plus `gens/g{N}/` subtrees.
-    fn copy_tree(src: &Path, dst: &Path) {
-        std::fs::create_dir_all(dst).unwrap();
-        for entry in std::fs::read_dir(src).unwrap() {
-            let entry = entry.unwrap();
-            if entry.file_type().unwrap().is_dir() {
-                copy_tree(&entry.path(), &dst.join(entry.file_name()));
-            } else {
-                std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-            }
-        }
-    }
-
-    /// Full probe matrix through a snapshot (base + delta concatenated,
-    /// sorted) — the query output whose bit-identity the kill asserts.
-    fn probe_matrix(idx: &GenerationalNhIndex, db: &GraphDb) -> Vec<Vec<NodeCandidate>> {
-        let snap = idx.snapshot();
-        let mut out = Vec::new();
-        for (gid, _, g) in db.iter() {
-            let label_of = |n: NodeId| db.effective_label(gid, n);
-            let sigs: Vec<_> = g
-                .nodes()
-                .map(|n| snap.base().signature(g, n, &label_of))
-                .collect();
-            let base = snap.base_reader().probe_batch(&sigs, 0.3, 1).unwrap();
-            let delta = snap.delta_reader().probe_batch(&sigs, 0.3, 1).unwrap();
-            for ((mut hits, _), (d, _)) in base.into_iter().zip(delta) {
-                hits.extend(d);
-                hits.sort_by_key(|c| c.node);
-                out.push(hits);
-            }
-        }
-        out
-    }
-
-    /// `gens/` must hold exactly the current generation's directory.
-    fn assert_gens_swept(dir: &Path, current: u64) {
-        let names: Vec<String> = std::fs::read_dir(dir.join("gens"))
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(
-            names,
-            vec![format!("g{current}")],
-            "orphaned generation directories not swept"
-        );
-    }
-
-    #[test]
-    fn torture_mid_fold_kill_lands_on_g_or_g_plus_one() {
-        let scratch = tempfile::tempdir().unwrap();
-        let pre = scratch.path().join("pre");
-
-        // Pre state: generation 0 over the five sample graphs, one
-        // unfolded insert in the delta, one tombstone — a fold with real
-        // work to do.
-        let mut db = sample_db();
-        let idx = GenerationalNhIndex::build(&pre, &db, &cfg()).unwrap();
-        let extra = {
-            let a = db.intern_node_label("A");
-            let c = db.intern_node_label("C");
-            let mut g = Graph::new_undirected();
-            let x = g.add_node(a);
-            let y = g.add_node(c);
-            let z = g.add_node(a);
-            g.add_edge(x, y).unwrap();
-            g.add_edge(y, z).unwrap();
-            db.insert("extra", g)
-        };
-        idx.insert_graph(&db, extra).unwrap();
-        idx.remove_graph(GraphId(1)).unwrap();
-        let pre_gen = idx.current_generation();
-        let pre_logical = idx.logical_generation();
-        let pre_matrix = probe_matrix(&idx, &db);
-        drop(idx);
-
-        // Reference post state: a clean fold on a copy. Its matrix must
-        // equal the pre matrix — the fold-is-representation-only oracle.
-        let post_dir = scratch.path().join("post");
-        copy_tree(&pre, &post_dir);
-        let (idx, _) = GenerationalNhIndex::open(&post_dir, &db, cfg().buffer_frames).unwrap();
-        let report = idx.fold(&db).unwrap();
-        assert_eq!(report.new_generation, pre_gen + 1);
-        assert_eq!(report.folded_inserts, 1);
-        assert_eq!(report.folded_removes, 1);
-        assert_eq!(probe_matrix(&idx, &db), pre_matrix, "fold changed answers");
-        drop(idx);
-
-        // Measure the fold's gated I/O footprint.
-        let count_dir = scratch.path().join("count");
-        copy_tree(&pre, &count_dir);
-        let (idx, _) = GenerationalNhIndex::open(&count_dir, &db, cfg().buffer_frames).unwrap();
-        faults::arm_counting();
-        idx.fold(&db).unwrap();
-        let n = faults::disarm();
-        drop(idx);
-        assert!(n > 0, "fold made no gated I/O");
-
-        for i in 0..n {
-            let work = scratch.path().join(format!("fault-{i}"));
-            copy_tree(&pre, &work);
-            let (idx, _) = GenerationalNhIndex::open(&work, &db, cfg().buffer_frames).unwrap();
-            faults::arm(i);
-            let res = idx.fold(&db);
-            drop(idx); // the process is "dead"; no GC runs
-            faults::disarm();
-            assert!(res.is_err(), "fault {i} of {n} did not surface");
-
-            let (idx, rec) = GenerationalNhIndex::open(&work, &db, cfg().buffer_frames).unwrap();
-            let landed = idx.current_generation();
-            assert!(
-                landed == pre_gen || landed == pre_gen + 1,
-                "fault {i} of {n}: landed on generation {landed}, expected {pre_gen} or {}",
-                pre_gen + 1
-            );
-            assert_eq!(
-                idx.logical_generation(),
-                pre_logical,
-                "fault {i}: a fold must never move the logical counter"
-            );
-            assert_gens_swept(&work, landed);
-            let snap = idx.snapshot();
-            if landed == pre_gen {
-                // Fold never committed: the unfinished g{N+1} was swept
-                // (if it ever hit disk) and the delta is re-derived.
-                assert!(rec.swept.iter().all(|&g| g == pre_gen + 1));
-                assert_eq!(snap.delta_graphs(), 1, "fault {i}: delta not re-derived");
-            } else {
-                assert_eq!(snap.delta_graphs(), 0, "fault {i}: delta survived a commit");
-            }
-            // The tombstone persists across the fold either way.
-            assert_eq!(snap.removed_count(), 1, "fault {i}: tombstone lost");
-            drop(snap);
-            assert_eq!(
-                probe_matrix(&idx, &db),
-                pre_matrix,
-                "fault {i} of {n}: recovered state is not bit-identical"
-            );
-            let integrity = idx.verify().unwrap();
-            assert!(
-                integrity.is_ok(),
-                "fault {i} of {n}: integrity errors after recovery: {:?}",
-                integrity.errors
-            );
-            drop(idx);
-            std::fs::remove_dir_all(&work).unwrap();
-        }
-        assert!(n >= 3, "suspiciously few fold fault points: {n}");
-    }
-}
-
 use proptest::prelude::*;
 
 proptest! {
@@ -436,68 +350,89 @@ proptest! {
     // point exhaustively, this adds interleaving coverage.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized interleavings: shuffle insert/remove operations, crash
-    /// one of them at a random fault point, and check the recovered index
-    /// equals a clean from-scratch replay of exactly the committed prefix.
+    /// Randomized interleavings: shuffle two inserts, two removes and a
+    /// fold, crash one of them at a random fault point, and check the
+    /// recovered index equals a clean replay of exactly the committed
+    /// prefix.
     #[test]
     fn random_interleavings_recover_to_a_clean_replay(
         order_seed in any::<u64>(),
-        crash_at in 0usize..4,
+        crash_at in 0usize..5,
         fault_seed in any::<u64>(),
     ) {
-        // Fisher–Yates over the four ops, driven by the generated seed.
-        let mut order = [0usize, 1, 2, 3];
+        // Fisher–Yates over the five ops, driven by the generated seed.
+        let mut order = [0usize, 1, 2, 3, 4];
         let mut s = order_seed | 1;
         for i in (1..order.len()).rev() {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             order.swap(i, (s >> 33) as usize % (i + 1));
         }
-        let db = sample_db();
-        let apply = |idx: &mut NhIndex, op: usize| match op {
-            0 => idx.insert_graph(&db, GraphId(3)),
-            1 => idx.insert_graph(&db, GraphId(4)),
-            2 => idx.remove_graph(GraphId(0), db.effective_vocab_size() as u64),
-            _ => idx.remove_graph(GraphId(1), db.effective_vocab_size() as u64),
+        let full = sample_db();
+        let dbs: Vec<GraphDb> = (3..=5).map(|n| prefix(&full, n)).collect();
+        // ops 0/1 insert the next graph, 2/3 remove graphs 0/1, 4 folds;
+        // `inserted` is how many inserts have committed before the op
+        let apply = |idx: &GenerationalNhIndex, op: usize, inserted: usize| match op {
+            0 | 1 => idx.insert_graph(&dbs[inserted + 1], GraphId(3 + inserted as u32)),
+            2 => idx.remove_graph(GraphId(0)),
+            3 => idx.remove_graph(GraphId(1)),
+            _ => idx.fold(&dbs[inserted]).map(|_| ()),
+        };
+        let inserts_before = |k: usize| order[..k].iter().filter(|&&op| op < 2).count();
+        let marks = |idx: &GenerationalNhIndex| {
+            let snap = idx.snapshot();
+            (snap.logical(), snap.base_generation())
         };
         let scratch = tempfile::tempdir().unwrap();
 
         // work index: clean ops before the crash point
-        let work: PathBuf = scratch.path().join("work");
-        let mut idx = NhIndex::build_subset(&work, &db, &cfg(), &INITIAL).unwrap();
-        for &op in &order[..crash_at] {
-            apply(&mut idx, op).unwrap();
+        let work = scratch.path().join("work");
+        let idx = GenerationalNhIndex::build(&work, &dbs[0], &cfg()).unwrap();
+        for (k, &op) in order[..crash_at].iter().enumerate() {
+            apply(&idx, op, inserts_before(k)).unwrap();
         }
+        let pre_marks = marks(&idx);
         drop(idx);
+        let pre_inserted = inserts_before(crash_at);
+        let crashing = order[crash_at];
+        let post_inserted = pre_inserted + usize::from(crashing < 2);
+        let open = |dir: &Path, inserted: usize| {
+            GenerationalNhIndex::open(dir, &dbs[inserted], cfg().buffer_frames).unwrap().0
+        };
 
         // measure the crashing op's fault points on a throwaway copy
         let count_dir = scratch.path().join("count");
-        copy_dir(&work, &count_dir);
-        let mut idx = NhIndex::open(&count_dir, cfg().buffer_frames).unwrap();
+        copy_tree(&work, &count_dir);
+        let idx = open(&count_dir, pre_inserted);
         faults::arm_counting();
-        apply(&mut idx, order[crash_at]).unwrap();
+        apply(&idx, crashing, pre_inserted).unwrap();
         let n = faults::disarm();
         drop(idx);
         prop_assert!(n > 0);
 
         // crash the real one
-        let mut idx = NhIndex::open(&work, cfg().buffer_frames).unwrap();
+        let idx = open(&work, pre_inserted);
         faults::arm(fault_seed % n);
-        let res = apply(&mut idx, order[crash_at]);
+        let res = apply(&idx, crashing, pre_inserted);
         drop(idx);
         faults::disarm();
         prop_assert!(res.is_err());
 
-        let (idx, _) = NhIndex::open_with_recovery(&work, cfg().buffer_frames).unwrap();
-        let committed = idx.generation() as usize;
-        prop_assert!(committed == crash_at || committed == crash_at + 1);
+        // the owner's journal rule: the insert committed iff the logical
+        // counter moved
+        let logical = GenerationalNhIndex::peek_logical(&work).unwrap();
+        let inserted = if logical > pre_marks.0 { post_inserted } else { pre_inserted };
+        let idx = open(&work, inserted);
+        let committed = marks(&idx) != pre_marks;
+        let replayed = crash_at + usize::from(committed);
 
         // clean replay of exactly the committed prefix
         let replay_dir = scratch.path().join("replay");
-        let mut replay = NhIndex::build_subset(&replay_dir, &db, &cfg(), &INITIAL).unwrap();
-        for &op in &order[..committed] {
-            apply(&mut replay, op).unwrap();
+        let replay = GenerationalNhIndex::build(&replay_dir, &dbs[0], &cfg()).unwrap();
+        for (k, &op) in order[..replayed].iter().enumerate() {
+            apply(&replay, op, inserts_before(k)).unwrap();
         }
-        prop_assert_eq!(probe_matrix(&idx, &db), probe_matrix(&replay, &db));
+        let probe_db = &dbs[2];
+        prop_assert_eq!(observe(&idx, probe_db), observe(&replay, probe_db));
         let integrity = idx.verify().unwrap();
         prop_assert!(integrity.is_ok(), "integrity: {:?}", integrity.errors);
     }

@@ -43,7 +43,8 @@ use tale::{
 use tale_graph::labels::NodeLabel;
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
 use tale_nhindex::{
-    IndexReader, IndexStatistics, NeighborArrayScheme, NodeCandidate, ProbeStats, QuerySignature,
+    GenerationalNhIndex, IndexReader, IndexStatistics, NeighborArrayScheme, NodeCandidate,
+    ProbeStats, QuerySignature,
 };
 use tale_server::wire;
 use tale_shard::{policy_by_name, ShardManifest, ShardedTaleDatabase};
@@ -138,25 +139,6 @@ enum AnyDb {
     Sharded(ShardedTaleDatabase),
 }
 
-/// A borrowed-or-shared view of the graph store: the generational
-/// database hands out an `Arc` snapshot (readers never block its
-/// writers), the sharded one a plain reference. `Deref` makes both read
-/// like `&GraphDb`.
-enum DbRef<'a> {
-    Shared(Arc<GraphDb>),
-    Borrowed(&'a GraphDb),
-}
-
-impl std::ops::Deref for DbRef<'_> {
-    type Target = GraphDb;
-    fn deref(&self) -> &GraphDb {
-        match self {
-            DbRef::Shared(a) => a,
-            DbRef::Borrowed(r) => r,
-        }
-    }
-}
-
 /// Probes each reader with one signature and merges (hits are disjoint
 /// across readers; counters sum).
 fn probe_readers(
@@ -194,10 +176,10 @@ impl AnyDb {
         }
     }
 
-    fn db(&self) -> DbRef<'_> {
+    fn db(&self) -> Arc<GraphDb> {
         match self {
-            AnyDb::Single(t) => DbRef::Shared(t.db()),
-            AnyDb::Sharded(t) => DbRef::Borrowed(t.db()),
+            AnyDb::Single(t) => t.db(),
+            AnyDb::Sharded(t) => t.db(),
         }
     }
 
@@ -243,10 +225,9 @@ impl AnyDb {
         }
     }
 
-    /// Probes every reader and merges. For the generational database the
-    /// readers are a pinned snapshot's base generation plus its delta
-    /// overlay; for the sharded one, every shard. Hits are disjoint
-    /// across readers; counters sum.
+    /// Probes every reader and merges: a pinned snapshot's base
+    /// generation plus its delta overlay — of the one index, or of every
+    /// shard. Hits are disjoint across readers; counters sum.
     fn probe_with_stats(
         &self,
         sig: &QuerySignature,
@@ -259,15 +240,7 @@ impl AnyDb {
                 let delta = snap.delta_reader();
                 probe_readers(&[&base, &delta], sig, rho)
             }
-            AnyDb::Sharded(t) => {
-                let readers: Vec<&dyn IndexReader> = t
-                    .index()
-                    .shards()
-                    .iter()
-                    .map(|s| s as &dyn IndexReader)
-                    .collect();
-                probe_readers(&readers, sig, rho)
-            }
+            AnyDb::Sharded(t) => t.with_readers(|_, readers| probe_readers(readers, sig, rho)),
         }
     }
 
@@ -279,31 +252,31 @@ impl AnyDb {
         }
     }
 
-    /// Live per-unit index statistics: one entry per shard for the
-    /// sharded layout; the pinned base generation plus the delta overlay
-    /// for the generational one. `None` marks a unit whose index predates
-    /// the statistics file (the planner falls back to fixed behavior
-    /// there).
-    fn statistics_units(&self) -> Vec<(String, Option<Arc<IndexStatistics>>)> {
+    /// The generational indexes behind the handle: the one index
+    /// (`None`), or every shard with its number.
+    fn indexes(&self) -> Vec<(Option<u32>, &GenerationalNhIndex)> {
         match self {
-            AnyDb::Single(t) => {
-                let snap = t.index().snapshot();
-                vec![
-                    (
-                        format!("g{}", t.index().current_generation()),
-                        snap.base_reader().statistics(),
-                    ),
-                    ("delta".to_owned(), snap.delta_reader().statistics()),
-                ]
-            }
-            AnyDb::Sharded(t) => t
-                .index()
-                .shards()
-                .iter()
-                .enumerate()
-                .map(|(s, idx)| (format!("shard {s}"), idx.statistics()))
-                .collect(),
+            AnyDb::Single(t) => vec![(None, t.index())],
+            AnyDb::Sharded(t) => t.index().numbered().map(|(s, i)| (Some(s), i)).collect(),
         }
+    }
+
+    /// Live per-unit index statistics: each index's pinned base
+    /// generation plus its delta overlay. `None` marks a unit whose index
+    /// predates the statistics file (the planner falls back to fixed
+    /// behavior there).
+    fn statistics_units(&self) -> Vec<(String, Option<Arc<IndexStatistics>>)> {
+        let mut units = Vec::new();
+        for (shard, idx) in self.indexes() {
+            let label = shard.map(|s| format!("s{s} ")).unwrap_or_default();
+            let snap = idx.snapshot();
+            units.push((
+                format!("{label}g{}", snap.base_generation()),
+                snap.base_reader().statistics(),
+            ));
+            units.push((format!("{label}delta"), snap.delta_reader().statistics()));
+        }
+        units
     }
 
     fn insert_graph(&mut self, name: String, g: Graph) -> Result<GraphId, String> {
@@ -618,8 +591,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             "shards           : {} ({} placement)",
             m.shard_count, m.policy
         );
-        for s in 0..m.shard_count {
-            let idx = &t.index().shards()[s as usize];
+        for (s, idx) in t.index().numbered() {
             println!(
                 "  shard {s:>3}: {} graphs, {} indexed nodes, {} keys, {} bytes",
                 m.graphs_of(s).len(),
@@ -988,10 +960,12 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Explicit crash recovery: opens the directory, repairing any mutation a
-/// crash cut short (WAL rollback, `graphs.json` restore, manifest
-/// roll-forward), and reports what was done. Opening with any other
-/// subcommand performs the same repairs silently; this one shows them.
+/// Explicit crash recovery: opens the directory, repairing any insert a
+/// crash cut short (`graphs.json` restored from the journal's backup when
+/// the index manifest never committed) and sweeping generation
+/// directories of unfinished folds, and reports what was done. Opening
+/// with any other subcommand performs the same repairs silently; this one
+/// shows them.
 fn cmd_recover(args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_args(args)?;
     let [dir] = pos.as_slice() else {
@@ -999,62 +973,49 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
     let dir = Path::new(dir);
-    let print_report = |who: &str, r: &tale_nhindex::RecoveryReport| {
-        if !r.wal_present {
-            println!("{who}: clean (no WAL tail)");
-        } else if r.rolled_back {
-            println!(
-                "{who}: rolled back in-flight mutation ({} pages restored, {} bytes truncated)",
-                r.pages_restored, r.bytes_truncated
-            );
-        } else if r.committed {
-            println!("{who}: last mutation had committed; WAL tail discarded");
-        } else {
-            println!("{who}: empty WAL tail discarded");
-        }
-    };
-    if ShardManifest::exists(dir) {
+    let (journal_present, db_rolled_back, units) = if ShardManifest::exists(dir) {
         let (_, rec) =
             ShardedTaleDatabase::open_with_recovery(dir, pool_pages).map_err(|e| e.to_string())?;
-        if rec.journal_present {
-            println!("mutation journal: present");
-            if rec.db_rolled_back {
-                println!("  graphs.json restored from pre-mutation backup");
-            }
-            if rec.manifest_rolled_forward {
-                println!("  shards.json rolled forward to the committed insert");
-            }
-        } else {
-            println!("mutation journal: none");
-        }
-        for (s, r) in rec.shards.iter().enumerate() {
-            print_report(&format!("shard {s}"), r);
-        }
+        let units = rec
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(s, r)| {
+                let who = if rec.folds_completed.contains(&(s as u32)) {
+                    format!("shard {s} (interrupted fold completed)")
+                } else {
+                    format!("shard {s}")
+                };
+                (who, r.generation, r.swept.len())
+            })
+            .collect();
+        (rec.journal_present, rec.db_rolled_back, units)
     } else {
         let (_, rec) =
             TaleDatabase::open_with_recovery(dir, pool_pages).map_err(|e| e.to_string())?;
-        println!(
-            "mutation journal: {}{}",
-            if rec.journal_present {
-                "present"
-            } else {
-                "none"
-            },
-            if rec.db_rolled_back {
-                " (graphs.json restored from pre-mutation backup)"
-            } else {
-                ""
-            }
-        );
-        print_report("index", &rec.index);
+        let units = vec![("index".to_owned(), rec.generation, rec.generations_swept)];
+        (rec.journal_present, rec.db_rolled_back, units)
+    };
+    println!(
+        "mutation journal: {}{}",
+        if journal_present { "present" } else { "none" },
+        if db_rolled_back {
+            " (uncommitted insert: graphs.json restored from pre-mutation backup)"
+        } else {
+            ""
+        }
+    );
+    for (who, generation, swept) in units {
+        println!("{who}: generation g{generation}, {swept} orphaned generation(s) swept");
     }
     println!("recovered; the directory is safe to serve");
     Ok(())
 }
 
-/// Shows the generational index's MVCC state: on-disk generations with
-/// their reader pin counts, the logical mutation counter, the unfolded
-/// delta size and the tombstone set.
+/// Shows each generational index's MVCC state, one row per index (per
+/// shard for a sharded layout): current generation, unfolded delta size,
+/// tombstones, logical mutation counter, and the on-disk generations with
+/// their reader pin counts.
 fn cmd_generations(args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_args(args)?;
     let [dir] = pos.as_slice() else {
@@ -1062,40 +1023,36 @@ fn cmd_generations(args: &[String]) -> Result<(), String> {
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
     let tale = AnyDb::open(Path::new(dir), pool_pages)?;
-    let AnyDb::Single(t) = &tale else {
-        return Err("a sharded database mutates its shards in place and has no \
-                    generational index; see `stats` for per-shard state"
-            .into());
-    };
-    let index = t.index();
-    let snap = index.snapshot();
-    println!("logical mutations : {}", index.logical_generation());
-    println!("current generation: g{}", index.current_generation());
-    println!(
-        "delta overlay     : {} unfolded insert(s)",
-        snap.delta_graphs()
-    );
-    println!(
-        "tombstones        : {} removed graph(s)",
-        snap.removed_count()
-    );
-    println!("on-disk generations:");
-    for g in index.generations() {
+    let mut pending = false;
+    for (shard, index) in tale.indexes() {
+        // list the generations before pinning one ourselves
+        let on_disk: Vec<String> = index
+            .generations()
+            .iter()
+            .map(|g| format!("g{} ({} pins)", g.number, g.pins))
+            .collect();
+        let snap = index.snapshot();
         println!(
-            "  g{:<4} pins {:>3}{}",
-            g.number,
-            g.pins,
-            if g.current { "  (current)" } else { "" }
+            "{}: current generation: g{}, {} unfolded insert(s), {} removed graph(s), \
+             {} logical mutation(s); on disk: {}",
+            shard.map_or("index".to_owned(), |s| format!("shard {s}")),
+            snap.base_generation(),
+            snap.delta_graphs(),
+            snap.removed_count(),
+            snap.logical(),
+            on_disk.join(", ")
         );
+        pending |= snap.delta_graphs() > 0 || snap.removed_count() > 0;
     }
-    if snap.delta_graphs() > 0 || snap.removed_count() > 0 {
+    if pending {
         println!("run `tale-cli fold` to build these into a fresh generation");
     }
     Ok(())
 }
 
-/// Folds the in-memory delta and tombstone set into a new on-disk
-/// generation and atomically flips to it. Concurrent readers keep their
+/// Folds each index's in-memory delta and tombstone set into a new
+/// on-disk generation and atomically flips to it — every shard of a
+/// sharded layout, against one graph store. Concurrent readers keep their
 /// pinned generation; the old one is deleted when its last pin drops.
 fn cmd_fold(args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_args(args)?;
@@ -1104,18 +1061,21 @@ fn cmd_fold(args: &[String]) -> Result<(), String> {
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
     let tale = AnyDb::open(Path::new(dir), pool_pages)?;
-    let AnyDb::Single(t) = &tale else {
-        return Err("fold applies to the generational single-index layout only".into());
-    };
     let start = std::time::Instant::now();
-    let report = t.fold().map_err(|e| e.to_string())?;
-    println!(
-        "folded {} insert(s) and {} removal(s) into g{} in {:.2}s",
-        report.folded_inserts,
-        report.folded_removes,
-        report.new_generation,
-        start.elapsed().as_secs_f64()
-    );
+    let reports = match &tale {
+        AnyDb::Single(t) => vec![t.fold().map_err(|e| e.to_string())?],
+        AnyDb::Sharded(t) => t.fold().map_err(|e| e.to_string())?,
+    };
+    for ((shard, _), r) in tale.indexes().into_iter().zip(&reports) {
+        println!(
+            "{}folded {} insert(s) and {} removal(s) into g{}",
+            shard.map_or(String::new(), |s| format!("shard {s}: ")),
+            r.folded_inserts,
+            r.folded_removes,
+            r.new_generation,
+        );
+    }
+    println!("fold took {:.2}s", start.elapsed().as_secs_f64());
     Ok(())
 }
 

@@ -4,38 +4,34 @@
 //! A worker process owns exactly one shard of a database built by
 //! `ShardedTaleDatabase::build` (or `tale-cli build --shards N`): the
 //! shared `graphs.json` + `shards.json` at the root, and its own
-//! `shard-NNN/` NH-Index directory. Queries run the *complete* engine
-//! pipeline via `exec::run_batch` with a single reader — the N=1 case of
-//! the scatter/gather the in-process sharded database uses — so each
-//! worker's partials are ranked exactly as a local run would rank that
-//! shard's contribution. The frontend's re-rank of concatenated partials
-//! is then bit-identical to local execution (see `exec::rank_matches`).
+//! `shard-NNN/` generational index. The engine is a
+//! [`ShardedTaleDatabase`] opened on that one shard
+//! ([`ShardedTaleDatabase::open_shard`]), so queries, mutations, folds and
+//! crash recovery all run the in-process code path. Queries run the
+//! *complete* engine pipeline over the shard's base and delta readers —
+//! the one-shard case of the scatter/gather the in-process sharded
+//! database uses — so each worker's partials are ranked exactly as a
+//! local run would rank that shard's contribution. The frontend's re-rank
+//! of concatenated partials is then bit-identical to local execution
+//! (see `exec::rank_matches`).
 //!
-//! Mutations are served at the worker level with the same journaling
-//! discipline as [`tale_shard::ShardedTaleDatabase::insert_graph`]:
-//! journal → `graphs.json` → WAL-protected index commit → manifest →
-//! journal clear. A `fold` rebuilds the shard's postings from its live
-//! graphs ([`tale_nhindex::NhIndex::build_subset`] into a temp dir +
-//! atomic rename swap) and re-applies the tombstone *markers* — dead
-//! graphs still hold ids in the shared database, so the markers persist
-//! while their postings are reclaimed, matching the MVCC fold semantics.
+//! Mutations follow the in-process protocol: an insert commits by its
+//! `shards.json` assignment, a removal by the shard's `mvcc.json`
+//! tombstone, a fold by the shard's generation flip. Readers keep the
+//! snapshot they pinned throughout, and the MVCC cache epochs retire
+//! stale result-cache entries — nothing blocks queries or clears the
+//! cache.
 
 use crate::wire::{
     ExplainRequest, FoldRequest, InsertRequest, QueryBatchRequest, RemoveRequest, WireExecStats,
     WireMatch, WireMatches,
 };
 use crate::{Result, ServerError};
-use parking_lot::RwLock;
-use std::path::{Path, PathBuf};
-use tale::engine::cache::{ResultCache, DEFAULT_CACHE_ENTRIES};
-use tale::engine::exec;
-use tale::journal::{MutationJournal, PendingMutation};
+use std::path::Path;
 use tale::BatchStats;
-use tale_graph::{Graph, GraphDb, GraphId};
-use tale_nhindex::{IndexReader, NhIndex, NhIndexConfig};
-use tale_shard::{vocab_fingerprint, ShardManifest};
-
-const DB_FILE: &str = "graphs.json";
+use tale_graph::{Graph, GraphId};
+use tale_nhindex::SharedIo;
+use tale_shard::{vocab_fingerprint, ShardedTaleDatabase};
 
 /// Page-cache / I/O sizing for a worker's index.
 #[derive(Debug, Clone, Copy)]
@@ -58,65 +54,22 @@ impl Default for EngineConfig {
     }
 }
 
-struct EngineState {
-    db: GraphDb,
-    index: NhIndex,
-    manifest: ShardManifest,
-}
-
-/// One shard's database + index + result cache, behind an RwLock so
-/// concurrent connection handlers can query in parallel while mutations
-/// serialize.
+/// One shard of a sharded database, served: queries run concurrently
+/// against pinned snapshots while mutations serialize inside the
+/// database.
 pub struct ShardEngine {
-    root: PathBuf,
     shard: u32,
-    cfg: EngineConfig,
-    state: RwLock<EngineState>,
-    cache: ResultCache,
+    db: ShardedTaleDatabase,
 }
 
 impl ShardEngine {
     /// Opens shard `shard` of the sharded database rooted at `root`
     /// (the directory holding `graphs.json` and `shards.json`), running
-    /// the shard's own WAL recovery if needed.
+    /// the sharded database's crash recovery first.
     pub fn open(root: &Path, shard: u32, cfg: EngineConfig) -> Result<ShardEngine> {
-        let manifest = ShardManifest::load(root)?;
-        if shard >= manifest.shard_count {
-            return Err(ServerError::BadRequest(format!(
-                "shard {shard} out of range: manifest has {} shards",
-                manifest.shard_count
-            )));
-        }
-        let db: GraphDb =
-            tale_graph::io::load_json(&root.join(DB_FILE)).map_err(tale_shard::ShardError::from)?;
-        let fp = vocab_fingerprint(&db);
-        if let Some(&recorded) = manifest.vocab_fingerprints.get(shard as usize) {
-            if recorded != fp {
-                return Err(ServerError::Handshake(format!(
-                    "vocabulary fingerprint mismatch: graphs.json has {fp:#018x}, \
-                     manifest recorded {recorded:#018x} for shard {shard}"
-                )));
-            }
-        }
-        let shard_dir = ShardManifest::shard_dir(root, shard);
-        let (index, _recovery) = NhIndex::open_with_recovery_io(
-            &shard_dir,
-            cfg.buffer_frames,
-            cfg.io_workers,
-            cfg.prefetch_pages,
-        )
-        .map_err(|source| tale_shard::ShardError::Shard { shard, source })?;
-        Ok(ShardEngine {
-            root: root.to_owned(),
-            shard,
-            cfg,
-            state: RwLock::new(EngineState {
-                db,
-                index,
-                manifest,
-            }),
-            cache: ResultCache::new(DEFAULT_CACHE_ENTRIES),
-        })
+        let io = SharedIo::new(cfg.io_workers, cfg.prefetch_pages);
+        let (db, _recovery) = ShardedTaleDatabase::open_shard(root, shard, cfg.buffer_frames, io)?;
+        Ok(ShardEngine { shard, db })
     }
 
     /// The shard this engine serves.
@@ -126,17 +79,22 @@ impl ShardEngine {
 
     /// Shards in the layout this engine belongs to.
     pub fn shard_count(&self) -> u32 {
-        self.state.read().manifest.shard_count
+        self.db.index().shard_count() as u32
     }
 
     /// Graphs in the shared database (all shards).
     pub fn graphs(&self) -> u64 {
-        self.state.read().db.len() as u64
+        self.db.db().len() as u64
     }
 
     /// FNV-64 fingerprint of the database's label vocabulary.
     pub fn vocab_fingerprint(&self) -> u64 {
-        vocab_fingerprint(&self.state.read().db)
+        vocab_fingerprint(&self.db.db())
+    }
+
+    /// The served database (this shard's view of it).
+    pub fn database(&self) -> &ShardedTaleDatabase {
+        &self.db
     }
 
     /// Runs a wire batch through the full engine pipeline on this one
@@ -146,23 +104,14 @@ impl ShardEngine {
         req: &QueryBatchRequest,
     ) -> Result<(Vec<WireMatches>, WireExecStats)> {
         let opts = req.options.to_options()?;
-        let st = self.state.read();
+        let db = self.db.db();
         let queries: Vec<Graph> = req
             .queries
             .iter()
-            .map(|w| w.to_query_graph(&st.db))
+            .map(|w| w.to_query_graph(&db))
             .collect::<Result<_>>()?;
         let query_refs: Vec<&Graph> = queries.iter().collect();
-        let readers: [&dyn IndexReader; 1] = [&st.index];
-        let caches = [&self.cache];
-        let (outputs, batch) = exec::run_batch(
-            &st.db,
-            &readers,
-            opts.use_cache.then_some(&caches[..]),
-            &query_refs,
-            &opts,
-        )
-        .map_err(tale_shard::ShardError::from)?;
+        let (outputs, batch) = self.db.query_batch_with_stats(&query_refs, &opts)?;
         let stats = exec_stats_of(&batch);
         let results = outputs
             .into_iter()
@@ -176,147 +125,53 @@ impl ShardEngine {
     /// Renders the plan this shard's engine would choose.
     pub fn explain(&self, req: &ExplainRequest) -> Result<String> {
         let opts = req.options.to_options()?;
-        let st = self.state.read();
-        let query = req.query.to_query_graph(&st.db)?;
-        let readers: [&dyn IndexReader; 1] = [&st.index];
-        Ok(tale::engine::plan::plan_report(&st.db, &readers, &query, &opts).render())
+        let query = req.query.to_query_graph(&self.db.db())?;
+        Ok(self.db.explain(&query, &opts).render())
     }
 
-    /// Inserts a graph into this shard, journaled exactly like the
-    /// in-process sharded database: stage → `graphs.json` → WAL-protected
-    /// index commit → manifest rewrite → clear. Returns the new id.
+    /// Inserts a graph through [`ShardedTaleDatabase::insert_with`]:
+    /// labels are interned, the routing policy must place the graph on
+    /// this shard, and the insert commits by its `shards.json`
+    /// assignment. Returns the new id.
     ///
     /// Only meaningful while this worker is the sole writer of the
     /// database root (the frontend enforces this by refusing to forward
     /// mutations in multi-shard deployments).
     pub fn insert(&self, req: &InsertRequest) -> Result<GraphId> {
-        let mut st = self.state.write();
-        let st = &mut *st;
-        let g = req.graph.to_inserted_graph(&mut st.db)?;
-        let gid = st.db.insert(req.name.clone(), g);
-        if gid.idx() != st.manifest.assignment.len() {
-            return Err(ServerError::BadRequest(format!(
-                "insert of graph {} but manifest maps {} graphs",
-                gid.0,
-                st.manifest.assignment.len()
-            )));
-        }
-        let journal = MutationJournal::new(&self.root);
-        let stage = |st: &mut EngineState| -> tale_shard::Result<()> {
-            journal.stage(
-                &self.root.join(DB_FILE),
-                PendingMutation {
-                    pre_generation: st.index.generation(),
-                    shard: Some(self.shard),
-                },
-            )?;
-            tale_graph::io::save_json(&st.db, &self.root.join(DB_FILE))?;
-            st.index.insert_graph(&st.db, gid)?;
-            st.manifest.assignment.push(self.shard);
-            let fp = vocab_fingerprint(&st.db);
-            st.manifest.vocab_fingerprints = vec![fp; st.manifest.shard_count as usize];
-            st.manifest.save(&self.root)?;
-            journal.clear()?;
-            Ok(())
-        };
-        stage(st)?;
-        Ok(gid)
+        self.db
+            .insert_with(req.name.clone(), |db| req.graph.to_inserted_graph(db))
     }
 
     /// Tombstones a graph this shard owns. Returns the owning shard in
     /// `Err` position semantics: `Ok(None)` = removed here, `Ok(Some(s))`
     /// = refused, shard `s` owns it (the caller reports the owner).
     pub fn remove(&self, req: &RemoveRequest) -> Result<Option<u32>> {
-        let mut st = self.state.write();
-        let st = &mut *st;
         let gid = GraphId(req.graph);
-        match st.manifest.shard_of(gid) {
+        match self.db.index().shard_of(gid) {
             None => Err(ServerError::BadRequest(format!(
                 "graph {} is not in the shard map",
                 req.graph
             ))),
             Some(s) if s != self.shard => Ok(Some(s)),
             Some(_) => {
-                st.index
-                    .remove_graph(gid, st.db.effective_vocab_size() as u64)
-                    .map_err(|source| tale_shard::ShardError::Shard {
-                        shard: self.shard,
-                        source,
-                    })?;
-                self.cache.evict_graph(gid);
+                self.db.remove_graph(gid)?;
                 Ok(None)
             }
         }
     }
 
-    /// Compacts this shard: rebuilds its postings from the live (not
-    /// tombstoned) graphs into a temp directory, swaps it in with atomic
-    /// renames, reopens, and re-applies the tombstone markers (the dead
-    /// graphs still hold ids in the shared database). Returns
-    /// `(live_graphs, tombstones_whose_postings_were_dropped)`.
+    /// Folds this shard's delta and tombstones into a new generation
+    /// ([`ShardedTaleDatabase::fold`]); queries keep running from their
+    /// pinned snapshots. The tombstone markers persist (the dead graphs
+    /// still hold ids in the shared database) while their postings are
+    /// reclaimed. Returns `(live_graphs, tombstones_whose_postings_were_dropped)`.
     pub fn fold(&self, _req: &FoldRequest) -> Result<(u64, u64)> {
-        let mut st = self.state.write();
-        let st = &mut *st;
-        let owned = st.manifest.graphs_of(self.shard);
-        let (live, dead): (Vec<GraphId>, Vec<GraphId>) =
-            owned.into_iter().partition(|&g| !st.index.is_removed(g));
-        let config = NhIndexConfig {
-            sbit: st.index.scheme().sbit,
-            buffer_frames: self.cfg.buffer_frames,
-            parallel_build: true,
-            bloom_hashes: st.index.scheme().hashes,
-            use_edge_labels: st.index.edge_labels(),
-            io_workers: self.cfg.io_workers,
-            prefetch_pages: self.cfg.prefetch_pages,
-        };
-        let shard_dir = ShardManifest::shard_dir(&self.root, self.shard);
-        let tmp = shard_dir.with_extension("fold-tmp");
-        let old = shard_dir.with_extension("fold-old");
-        for leftover in [&tmp, &old] {
-            if leftover.exists() {
-                std::fs::remove_dir_all(leftover).map_err(tale_shard::ShardError::from)?;
-            }
-        }
-        let built = NhIndex::build_subset(&tmp, &st.db, &config, &live).map_err(|source| {
-            let _ = std::fs::remove_dir_all(&tmp);
-            tale_shard::ShardError::Shard {
-                shard: self.shard,
-                source,
-            }
-        })?;
-        drop(built); // close the freshly built files before the swap
-                     // Swap: old dir aside, new dir in. The open index's fds keep
-                     // working across the rename (same inodes); it is replaced below.
-        std::fs::rename(&shard_dir, &old).map_err(tale_shard::ShardError::from)?;
-        std::fs::rename(&tmp, &shard_dir).map_err(tale_shard::ShardError::from)?;
-        let (mut index, _recovery) = NhIndex::open_with_recovery_io(
-            &shard_dir,
-            self.cfg.buffer_frames,
-            self.cfg.io_workers,
-            self.cfg.prefetch_pages,
-        )
-        .map_err(|source| tale_shard::ShardError::Shard {
-            shard: self.shard,
-            source,
-        })?;
-        // Re-apply tombstone markers: their postings are gone, but the
-        // ids remain dead in the shared database (MVCC fold semantics —
-        // repeated folds keep reporting them until ids are compacted).
-        let vocab = st.db.effective_vocab_size() as u64;
-        for gid in &dead {
-            index
-                .remove_graph(*gid, vocab)
-                .map_err(|source| tale_shard::ShardError::Shard {
-                    shard: self.shard,
-                    source,
-                })?;
-        }
-        st.index = index; // drops the pre-fold index, closing old fds
-        std::fs::remove_dir_all(&old).map_err(tale_shard::ShardError::from)?;
-        // The rebuilt index restarts its generation counter, which could
-        // collide with keys cached under the old counter — drop them all.
-        self.cache.clear();
-        Ok((live.len() as u64, dead.len() as u64))
+        let reports = self.db.fold()?;
+        let index = self.db.index();
+        let owned = index.manifest().graphs_of(self.shard);
+        let live = owned.iter().filter(|&&g| !index.is_removed(g)).count() as u64;
+        let dropped = reports.iter().map(|r| r.folded_removes as u64).sum();
+        Ok((live, dropped))
     }
 }
 

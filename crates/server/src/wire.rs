@@ -162,7 +162,7 @@ pub fn write_frame(
     header[4..6].copy_from_slice(&PROTOCOL_VERSION.to_be_bytes());
     header[6..8].copy_from_slice(&kind.to_be_bytes());
     header[8..12].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    header[12..16].copy_from_slice(&tale_storage::wal::crc32(payload).to_be_bytes());
+    header[12..16].copy_from_slice(&tale_storage::crc::crc32(payload).to_be_bytes());
     w.write_all(&header)?;
     w.write_all(payload)?;
     w.flush()?;
@@ -217,7 +217,7 @@ pub fn read_frame(
         }
         got += n;
     }
-    let actual = tale_storage::wal::crc32(&payload);
+    let actual = tale_storage::crc::crc32(&payload);
     if actual != crc {
         return Err(WireError::Corrupt {
             expected: crc,
@@ -679,8 +679,9 @@ pub struct RemoveRequest {
     pub graph: u32,
 }
 
-/// Compact the serving shard: rebuild its index from the live (not
-/// tombstoned) graphs, dropping dead postings.
+/// Fold the serving shard: build its delta and live base graphs into a
+/// new generation (dropping tombstoned postings) and flip to it; queries
+/// keep the generation they pinned.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FoldRequest {
     /// Reserved; must be `true` (guards against empty-bodied callers).

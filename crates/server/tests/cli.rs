@@ -250,7 +250,8 @@ fn generations_inspects_and_fold_flips_to_a_new_generation() {
     assert!(ok);
     assert!(stdout.contains("complexB"), "{stdout}");
 
-    // sharded layouts mutate in place and have no generations
+    // every shard of a sharded layout is a generational index too: one
+    // row per shard, and a fold moves every shard on
     let sharded = dir.path().join("sharded");
     let (ok, _, _) = run(&[
         "build",
@@ -260,9 +261,56 @@ fn generations_inspects_and_fold_flips_to_a_new_generation() {
         "2",
     ]);
     assert!(ok);
-    let (ok, _, stderr) = run(&["generations", sharded.to_str().unwrap()]);
-    assert!(!ok);
-    assert!(stderr.contains("no generational index"), "{stderr}");
+    let (ok, stdout, stderr) = run(&["generations", sharded.to_str().unwrap()]);
+    assert!(ok, "sharded generations failed: {stderr}");
+    assert!(
+        stdout.contains("shard 0: current generation: g0"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("shard 1: current generation: g0"),
+        "{stdout}"
+    );
+    let (ok, _, stderr) = run(&[
+        "add",
+        sharded.to_str().unwrap(),
+        more_path.to_str().unwrap(),
+    ]);
+    assert!(ok, "sharded add failed: {stderr}");
+    let (ok, stdout, _) = run(&["generations", sharded.to_str().unwrap()]);
+    assert!(ok);
+    assert!(stdout.contains("1 unfolded insert(s)"), "{stdout}");
+    assert!(stdout.contains("run `tale-cli fold`"), "{stdout}");
+    let (ok, stdout, stderr) = run(&["fold", sharded.to_str().unwrap()]);
+    assert!(ok, "sharded fold failed: {stderr}");
+    assert!(stdout.contains("shard 0: folded"), "{stdout}");
+    assert!(stdout.contains("shard 1: folded"), "{stdout}");
+    assert!(stdout.contains("folded 1 insert(s)"), "{stdout}");
+    let (ok, stdout, _) = run(&["generations", sharded.to_str().unwrap()]);
+    assert!(ok);
+    assert!(
+        stdout.contains("shard 0: current generation: g1"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("shard 1: current generation: g1"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("run `tale-cli fold`"), "{stdout}");
+    let (ok, stdout, stderr) = run(&["verify", sharded.to_str().unwrap()]);
+    assert!(ok, "verify after fold failed: {stderr}");
+    assert!(stdout.contains("shard 1: ok"), "{stdout}");
+    let (ok, stdout, _) = run(&[
+        "query",
+        sharded.to_str().unwrap(),
+        q_path.to_str().unwrap(),
+        "--rho",
+        "0.0",
+        "--pimp",
+        "1.0",
+    ]);
+    assert!(ok);
+    assert!(stdout.contains("complexB"), "{stdout}");
 }
 
 #[test]
@@ -286,13 +334,25 @@ fn recover_runs_on_single_and_sharded_layouts() {
     let (ok, stdout, stderr) = run(&["recover", single.to_str().unwrap()]);
     assert!(ok, "recover failed: {stderr}");
     assert!(stdout.contains("mutation journal: none"), "{stdout}");
+    assert!(stdout.contains("index: generation g0"), "{stdout}");
     assert!(stdout.contains("safe to serve"), "{stdout}");
 
+    // an insert cut short after graphs.json was saved but before the
+    // shards.json commit: recover restores graphs.json and says so
+    let journal = sharded.join("pending.json");
+    std::fs::copy(sharded.join("graphs.json"), sharded.join("graphs.json.pre")).unwrap();
+    std::fs::write(&journal, r#"{"pre_generation": 2}"#).unwrap();
     let (ok, stdout, stderr) = run(&["recover", sharded.to_str().unwrap()]);
     assert!(ok, "sharded recover failed: {stderr}");
-    assert!(stdout.contains("shard 0"), "{stdout}");
-    assert!(stdout.contains("shard 1"), "{stdout}");
+    assert!(stdout.contains("mutation journal: present"), "{stdout}");
+    assert!(stdout.contains("graphs.json restored"), "{stdout}");
+    assert!(stdout.contains("shard 0: generation g0"), "{stdout}");
+    assert!(stdout.contains("shard 1: generation g0"), "{stdout}");
     assert!(stdout.contains("safe to serve"), "{stdout}");
+    assert!(!journal.exists());
+    let (ok, stdout, _) = run(&["recover", sharded.to_str().unwrap()]);
+    assert!(ok);
+    assert!(stdout.contains("mutation journal: none"), "{stdout}");
 }
 
 #[test]
@@ -368,7 +428,8 @@ fn sharded_build_roundtrip_matches_single_index() {
     assert!(stdout.contains("shard 0: ok"), "{stdout}");
     assert!(stdout.contains("shard 1: ok"), "{stdout}");
 
-    // explain renders one plan subtree per shard
+    // explain renders one plan subtree per reader: each shard's base
+    // generation and its delta
     let (ok, stdout, stderr) = run(&[
         "explain",
         sharded.to_str().unwrap(),
@@ -377,9 +438,13 @@ fn sharded_build_roundtrip_matches_single_index() {
         "1.0",
     ]);
     assert!(ok, "explain failed: {stderr}");
-    assert!(stdout.contains("scatter [shards=2"), "{stdout}");
-    assert!(stdout.contains("shard [shard=0"), "{stdout}");
-    assert!(stdout.contains("shard [shard=1"), "{stdout}");
+    assert!(stdout.contains("scatter [shards=4"), "{stdout}");
+    for reader in 0..4 {
+        assert!(
+            stdout.contains(&format!("shard [shard={reader}")),
+            "{stdout}"
+        );
+    }
 
     // add routes through the placement policy and stays queryable
     let more_path = dir.path().join("more.txt");

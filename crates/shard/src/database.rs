@@ -1,46 +1,52 @@
 //! [`ShardedTaleDatabase`]: the sharded counterpart of
 //! [`tale::TaleDatabase`].
 //!
-//! Owns the [`GraphDb`], a [`ShardedNhIndex`], and one
-//! [`ResultCache`] *per shard*. Queries scatter/gather through the same
-//! staged engine as the unsharded database (`tale::engine::exec`), so
-//! results are bit-identical to a single-index [`tale::TaleDatabase`]
-//! over the same graphs at any shard count and thread count. The
-//! per-shard caches make mutation-time invalidation scoped *and
-//! clear-free*: cache keys fold in each shard's mutation generation, so
-//! committing an in-place mutation to shard `S` simply moves `S` to a
-//! fresh key space — its old partials become unreachable and age out of
-//! the LRU — while every other shard's cached work keeps hitting.
+//! Owns the [`GraphDb`], a [`ShardedNhIndex`] whose every shard is a
+//! generational index, and two [`ResultCache`]s *per shard* (one for its
+//! base generation, one for its delta). Queries pin one snapshot per
+//! shard and scatter/gather over each shard's base and delta readers
+//! through the same staged engine as the unsharded database
+//! (`tale::engine::exec`), so results are bit-identical to a single-index
+//! [`tale::TaleDatabase`] over the same graphs at any shard count and
+//! thread count. Cache invalidation is the MVCC one: an insert rolls only
+//! the owning shard's delta epoch, a removal filters at read time, and a
+//! fold rolls the folded shards' epochs — no cache is ever cleared.
+//!
+//! Mutations go through `&self`; queries running concurrently keep the
+//! snapshots they pinned.
 
 use crate::index::{ShardBuildStats, ShardedNhIndex};
-use crate::manifest::{vocab_fingerprint, ShardManifest};
 use crate::policy::{HashPolicy, ShardPolicy};
 use crate::{Result, ShardError};
 use std::path::Path;
+use std::sync::Arc;
+use std::sync::{Mutex, RwLock};
 use tale::engine::cache::{CacheStats, ResultCache, DEFAULT_CACHE_ENTRIES};
 use tale::engine::exec;
 use tale::engine::stats::{BatchStats, QueryStats};
 use tale::journal::{MutationJournal, PendingMutation};
 use tale::{QueryMatch, QueryOptions, ScratchDir, TaleParams};
 use tale_graph::{Graph, GraphDb, GraphId};
-use tale_nhindex::{IndexReader, NhIndex, NhIndexConfig, RecoveryReport};
+use tale_nhindex::{FoldReport, IndexReader, MvccRecovery, NhIndexConfig, SharedIo, Snapshot};
 
 const DB_FILE: &str = "graphs.json";
 
 /// What [`ShardedTaleDatabase::open_with_recovery`] found and repaired.
 #[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct ShardedRecovery {
-    /// A `pending.json` marker was present (a multi-file mutation was in
-    /// flight at crash time).
+    /// A `pending.json` marker was present (an insert was in flight at
+    /// crash time).
     pub journal_present: bool,
-    /// `graphs.json` was restored from its pre-mutation backup (the
-    /// routed shard never committed).
+    /// `graphs.json` was restored from its pre-insert backup: the
+    /// `shards.json` assignment never grew, so the insert never
+    /// committed.
     pub db_rolled_back: bool,
-    /// The routed shard committed but the crash beat the manifest save;
-    /// the missing assignment was re-appended and the manifest rewritten.
-    pub manifest_rolled_forward: bool,
-    /// Each shard's own WAL recovery outcome, in shard order.
-    pub shards: Vec<RecoveryReport>,
+    /// Shards a fold cut short had not flipped yet; open folded them so
+    /// every shard names the same generation again.
+    pub folds_completed: Vec<u32>,
+    /// Each loaded shard's open (generation opened, orphaned generation
+    /// directories swept), in shard order.
+    pub shards: Vec<MvccRecovery>,
 }
 
 fn config_of(params: &TaleParams) -> NhIndexConfig {
@@ -55,17 +61,40 @@ fn config_of(params: &TaleParams) -> NhIndexConfig {
     }
 }
 
-/// An indexed graph database partitioned across NH-Index shards, ready
-/// for approximate subgraph queries.
+/// An indexed graph database partitioned across generational NH-Index
+/// shards, ready for approximate subgraph queries.
 pub struct ShardedTaleDatabase {
-    db: GraphDb,
+    /// The graph store. Writers publish a fresh `Arc` *before* touching
+    /// the shards; readers pin the shard snapshots *first* — so a pinned
+    /// snapshot's graphs always exist in the db the reader sees.
+    db: RwLock<Arc<GraphDb>>,
     index: ShardedNhIndex,
+    /// Serializes mutations; never touched by queries.
+    writer: Mutex<()>,
+    /// Held for writing while a scheme-changing fold flips its shards, and
+    /// for reading while a query pins its snapshots, so no query mixes
+    /// two schemes across shards.
+    scheme_gate: RwLock<()>,
+    /// Per loaded shard: the base cache, then the delta cache.
     caches: Vec<ResultCache>,
     // Keeps the scratch directory alive for in-temp builds.
     _scratch: Option<ScratchDir>,
 }
 
 impl ShardedTaleDatabase {
+    fn assemble(db: GraphDb, index: ShardedNhIndex, scratch: Option<ScratchDir>) -> Self {
+        ShardedTaleDatabase {
+            caches: (0..2 * index.shards().len())
+                .map(|_| ResultCache::new(DEFAULT_CACHE_ENTRIES))
+                .collect(),
+            db: RwLock::new(Arc::new(db)),
+            index,
+            writer: Mutex::new(()),
+            scheme_gate: RwLock::new(()),
+            _scratch: scratch,
+        }
+    }
+
     /// Builds a sharded NH-Index for `db` into `dir` and persists the
     /// graphs alongside it, so [`ShardedTaleDatabase::open`] can restore
     /// everything.
@@ -92,17 +121,7 @@ impl ShardedTaleDatabase {
         let (index, stats) =
             ShardedNhIndex::build_with_stats(dir, &db, &config_of(params), nshards, policy, 0)?;
         tale_graph::io::save_json(&db, &dir.join(DB_FILE))?;
-        Ok((
-            ShardedTaleDatabase {
-                caches: (0..index.shard_count())
-                    .map(|_| ResultCache::new(DEFAULT_CACHE_ENTRIES))
-                    .collect(),
-                db,
-                index,
-                _scratch: None,
-            },
-            stats,
-        ))
+        Ok((Self::assemble(db, index, None), stats))
     }
 
     /// Builds into a self-cleaning scratch directory with the default
@@ -117,14 +136,7 @@ impl ShardedTaleDatabase {
             &HashPolicy,
             0,
         )?;
-        Ok(ShardedTaleDatabase {
-            caches: (0..index.shard_count())
-                .map(|_| ResultCache::new(DEFAULT_CACHE_ENTRIES))
-                .collect(),
-            db,
-            index,
-            _scratch: Some(scratch),
-        })
+        Ok(Self::assemble(db, index, Some(scratch)))
     }
 
     /// Reopens a database previously built with
@@ -136,119 +148,142 @@ impl ShardedTaleDatabase {
     }
 
     /// Like [`ShardedTaleDatabase::open`], also repairing any mutation
-    /// that a crash cut short and reporting what was done.
-    ///
-    /// The multi-file reconciliation runs *before* the shards are opened
-    /// (their own WAL rollback happens inside
-    /// [`ShardedNhIndex::open_with_recovery`]):
-    ///
-    /// * journal present and the routed shard's generation is still the
-    ///   recorded pre-mutation value → the shard never committed; restore
-    ///   `graphs.json` from the fsynced backup. The manifest was not yet
-    ///   touched (it is saved after the shard commit).
-    /// * journal present and the generation advanced → the shard
-    ///   committed, and the already-saved `graphs.json` is the post-insert
-    ///   state. If the crash beat the manifest save (one fewer assignment
-    ///   than graphs), roll the manifest *forward*: re-append the routed
-    ///   shard and recompute the vocabulary fingerprints — exactly what
-    ///   the interrupted [`ShardedNhIndex::insert_graph_routed`] would
-    ///   have written.
+    /// that a crash cut short and reporting what was done. One rule
+    /// decides an interrupted insert, from the files on disk: it committed
+    /// iff the `shards.json` assignment grew past the length the journal
+    /// recorded; otherwise `graphs.json` is restored from the journal's
+    /// backup. A removal commits by one shard's manifest write; a fold
+    /// cut short between two shards' generation flips is completed (see
+    /// [`ShardedNhIndex::open_with_recovery`]).
     pub fn open_with_recovery(dir: &Path, buffer_frames: usize) -> Result<(Self, ShardedRecovery)> {
-        let journal = MutationJournal::new(dir);
-        let mut rec = ShardedRecovery::default();
-        if let Some(pending) = journal.load()? {
-            rec.journal_present = true;
-            let s = pending.shard.ok_or_else(|| {
-                ShardError::Manifest(
-                    "mutation journal lacks a shard (marker from an unsharded database?)".into(),
-                )
-            })?;
-            let post = NhIndex::peek_generation(&ShardManifest::shard_dir(dir, s))
-                .map_err(|source| ShardError::Shard { shard: s, source })?;
-            if post == pending.pre_generation {
-                rec.db_rolled_back = journal.roll_back_db(&dir.join(DB_FILE))?;
-            } else {
-                let db = tale_graph::io::load_json(&dir.join(DB_FILE))?;
-                let mut manifest = ShardManifest::load(dir)?;
-                if manifest.assignment.len() + 1 == db.len() {
-                    manifest.assignment.push(s);
-                    let fp = vocab_fingerprint(&db);
-                    manifest.vocab_fingerprints = vec![fp; manifest.shard_count as usize];
-                    manifest.save(dir)?;
-                    rec.manifest_rolled_forward = true;
-                }
-            }
-        }
-        // Clears the marker (if any) and sweeps an orphaned backup left by
-        // an interrupted clear; idempotent when there is nothing to do.
-        journal.clear()?;
+        Self::open_impl(dir, |db| {
+            ShardedNhIndex::open_with_recovery(dir, buffer_frames, db)
+        })
+    }
+
+    /// Opens only shard `shard` of the database rooted at `dir` — the
+    /// view a served worker holds (see [`ShardedNhIndex::open_shard`]),
+    /// with the same recovery as [`ShardedTaleDatabase::open_with_recovery`].
+    /// Queries run against this shard alone; inserts are accepted only
+    /// when the routing policy places them here.
+    pub fn open_shard(
+        dir: &Path,
+        shard: u32,
+        buffer_frames: usize,
+        io: Option<SharedIo>,
+    ) -> Result<(Self, ShardedRecovery)> {
+        Self::open_impl(dir, |db| {
+            ShardedNhIndex::open_shard(dir, db, shard, buffer_frames, io)
+        })
+    }
+
+    fn open_impl<F>(dir: &Path, open_index: F) -> Result<(Self, ShardedRecovery)>
+    where
+        F: FnOnce(&GraphDb) -> Result<(ShardedNhIndex, Vec<MvccRecovery>)>,
+    {
+        let committed = crate::ShardManifest::load(dir)?.assignment.len() as u64;
+        let (journal_present, db_rolled_back) = MutationJournal::new(dir).recover(committed)?;
         let db = tale_graph::io::load_json(&dir.join(DB_FILE))?;
-        let (index, shards) = ShardedNhIndex::open_with_recovery(dir, buffer_frames, &db)?;
-        rec.shards = shards;
-        Ok((
-            ShardedTaleDatabase {
-                caches: (0..index.shard_count())
-                    .map(|_| ResultCache::new(DEFAULT_CACHE_ENTRIES))
-                    .collect(),
-                db,
-                index,
-                _scratch: None,
-            },
-            rec,
-        ))
+        let (index, shards) = open_index(&db)?;
+        let folds_completed = index
+            .numbered()
+            .zip(&shards)
+            .filter(|((_, sh), r)| sh.current_generation() != r.generation)
+            .map(|((s, _), _)| s)
+            .collect();
+        let rec = ShardedRecovery {
+            journal_present,
+            db_rolled_back,
+            folds_completed,
+            shards,
+        };
+        Ok((Self::assemble(db, index, None), rec))
     }
 
     /// Adds a graph, routes it to a shard with the build policy, and
-    /// extends that shard's index incrementally. Returns the new graph's
-    /// id. No cache is cleared: the commit bumps the owning shard's
-    /// mutation generation, which the cache keys fold in, so that shard's
-    /// old partials become unreachable while every other shard's entries
-    /// keep hitting.
+    /// extends that shard's in-memory delta. Returns the new graph's id.
+    /// No cache is cleared: only the owning shard's delta epoch rolls.
     ///
-    /// For a persistent database the whole multi-file mutation is
-    /// journaled: route first (to learn the owning shard), stage the
-    /// journal with that shard's pre-mutation generation, save the new
-    /// `graphs.json`, run the shard's WAL-protected index commit plus the
-    /// atomic manifest rewrite, then clear the journal. A crash at any
-    /// point recovers to a state bit-identical to before or after the
-    /// insert ([`ShardedTaleDatabase::open_with_recovery`]). After an
-    /// error, drop this handle and reopen.
-    pub fn insert_graph(&mut self, name: impl Into<String>, g: Graph) -> Result<GraphId> {
-        let gid = self.db.insert(name, g);
-        let s;
-        if self._scratch.is_none() {
-            let dir = self.index.dir().to_owned();
-            s = self.index.route(&self.db, gid)?;
-            let journal = MutationJournal::new(&dir);
-            journal.stage(
-                &dir.join(DB_FILE),
-                PendingMutation {
-                    pre_generation: self.index.shards()[s as usize].generation(),
-                    shard: Some(s),
-                },
-            )?;
-            tale_graph::io::save_json(&self.db, &dir.join(DB_FILE))?;
-            self.index.insert_graph_routed(&self.db, gid, s)?;
-            journal.clear()?;
-        } else {
-            s = self.index.insert_graph(&self.db, gid)?;
+    /// For a persistent database the insert is journaled: route, stage
+    /// the journal with the current assignment length, save the new
+    /// `graphs.json`, rewrite `shards.json` (the commit point), clear the
+    /// journal. A crash at any point recovers to a state bit-identical to
+    /// before or after the insert ([`ShardedTaleDatabase::open_with_recovery`]).
+    /// An insert that fails before its commit point leaves the handle
+    /// serving the pre-insert state; the next insert (or open) settles the
+    /// journal it left behind by the same rule.
+    pub fn insert_graph(&self, name: impl Into<String>, g: Graph) -> Result<GraphId> {
+        self.insert_with(name, |_| Ok::<_, ShardError>(g))
+    }
+
+    /// [`ShardedTaleDatabase::insert_graph`] for a graph built against the
+    /// database under the writer lock: `build` may intern labels into
+    /// (a copy of) the vocabulary before returning the graph to insert.
+    pub fn insert_with<E, F>(
+        &self,
+        name: impl Into<String>,
+        build: F,
+    ) -> std::result::Result<GraphId, E>
+    where
+        E: From<ShardError>,
+        F: FnOnce(&mut GraphDb) -> std::result::Result<Graph, E>,
+    {
+        let _w = crate::lock(&self.writer);
+        let mut next = (**crate::read(&self.db)).clone();
+        let g = build(&mut next)?;
+        let gid = next.insert(name, g);
+        let next = Arc::new(next);
+        let s = self.index.route(&next, gid)?;
+        let journal = self
+            ._scratch
+            .is_none()
+            .then(|| MutationJournal::new(self.index.dir()));
+        if let Some(journal) = &journal {
+            let committed = self.index.graph_count() as u64;
+            let db_file = self.index.dir().join(DB_FILE);
+            journal.recover(committed).map_err(ShardError::from)?;
+            journal
+                .stage(
+                    &db_file,
+                    PendingMutation {
+                        pre_generation: committed,
+                    },
+                )
+                .map_err(ShardError::from)?;
+            tale_graph::io::save_json(&next, &db_file).map_err(ShardError::from)?;
         }
-        // No clear: shard `s`'s generation advanced with the commit, so
-        // its stale partials are already unreachable under the new keys.
-        let _ = s;
+        self.index.commit_insert(&next, gid, s)?;
+        *crate::write(&self.db) = Arc::clone(&next);
+        self.index.extend_delta(&next, gid, s)?;
+        if let Some(journal) = &journal {
+            journal.clear().map_err(ShardError::from)?;
+        }
         Ok(gid)
     }
 
-    /// Logically removes a graph (tombstone in its owning shard). The
-    /// generation bump retires the owning shard's old cache keys;
-    /// [`ResultCache::evict_graph`] additionally frees the now-unreachable
-    /// entries that actually contain `id` instead of waiting for LRU aging.
-    pub fn remove_graph(&mut self, id: GraphId) -> Result<()> {
-        let s = self
-            .index
-            .remove_graph(id, self.db.effective_vocab_size() as u64)?;
-        self.caches[s as usize].evict_graph(id);
+    /// Logically removes a graph (a tombstone in its owning shard). No
+    /// cache entry is evicted: the engine filters cached partials through
+    /// the shard's tombstone set at read time.
+    pub fn remove_graph(&self, id: GraphId) -> Result<()> {
+        let _w = crate::lock(&self.writer);
+        crate::read(&self.db).try_graph(id)?;
+        self.index.remove_graph(id)?;
         Ok(())
+    }
+
+    /// Folds every loaded shard's delta and tombstones into a new
+    /// immutable generation, all against one `GraphDb` so every shard
+    /// keeps one neighbor-array scheme. Queries keep flowing from their
+    /// pinned snapshots; only a fold that changes the scheme holds new
+    /// queries back while it runs, so none of them pins two schemes.
+    pub fn fold(&self) -> Result<Vec<FoldReport>> {
+        let _w = crate::lock(&self.writer);
+        let db = crate::read(&self.db).clone();
+        let _gate = self
+            .index
+            .fold_changes_scheme(&db)
+            .then(|| crate::write(&self.scheme_gate));
+        self.index.fold(&db)
     }
 
     /// Interns a node label name into the database vocabulary (for
@@ -257,17 +292,22 @@ impl ShardedTaleDatabase {
     /// it never renumbers existing labels — so cached results stay exact
     /// and nothing is cleared; a query using the new label is a new
     /// [`QueryRepr`](tale::engine::cache::QueryRepr) and misses naturally.
-    pub fn intern_node_label(&mut self, name: &str) -> tale_graph::NodeLabel {
-        self.db.intern_node_label(name)
+    pub fn intern_node_label(&self, name: &str) -> tale_graph::NodeLabel {
+        let _w = crate::lock(&self.writer);
+        let mut next = (**crate::read(&self.db)).clone();
+        let label = next.intern_node_label(name);
+        *crate::write(&self.db) = Arc::new(next);
+        label
     }
 
-    /// The underlying graph database.
-    pub fn db(&self) -> &GraphDb {
-        &self.db
+    /// The underlying graph database (a cheap `Arc` clone of the current
+    /// published state).
+    pub fn db(&self) -> Arc<GraphDb> {
+        crate::read(&self.db).clone()
     }
 
     /// The sharded NH-Index (for introspection: shard map, sizes, probe
-    /// counters).
+    /// counters, generations).
     pub fn index(&self) -> &ShardedNhIndex {
         &self.index
     }
@@ -277,40 +317,49 @@ impl ShardedTaleDatabase {
         self.index.size_bytes()
     }
 
+    /// Runs `f` over one pinned snapshot per loaded shard — its readers
+    /// in shard order, base then delta — and the graph store. Snapshots
+    /// are pinned before the store is read (see the `db` field for why).
+    pub fn with_readers<T>(&self, f: impl FnOnce(&GraphDb, &[&dyn IndexReader]) -> T) -> T {
+        let snaps: Vec<Snapshot> = {
+            let _gate = crate::read(&self.scheme_gate);
+            self.index.shards().iter().map(|s| s.snapshot()).collect()
+        };
+        let db = crate::read(&self.db).clone();
+        let bases: Vec<_> = snaps.iter().map(Snapshot::base_reader).collect();
+        let deltas: Vec<_> = snaps.iter().map(Snapshot::delta_reader).collect();
+        let readers: Vec<&dyn IndexReader> = bases
+            .iter()
+            .zip(&deltas)
+            .flat_map(|(b, d)| [b as &dyn IndexReader, d as &dyn IndexReader])
+            .collect();
+        f(&db, &readers)
+    }
+
     fn run(
         &self,
         queries: &[&Graph],
         opts: &QueryOptions,
     ) -> Result<(Vec<Vec<QueryMatch>>, BatchStats)> {
-        let shard_refs: Vec<&dyn IndexReader> = self
-            .index
-            .shards()
-            .iter()
-            .map(|s| s as &dyn IndexReader)
-            .collect();
-        let cache_refs: Vec<&ResultCache> = self.caches.iter().collect();
-        Ok(exec::run_batch(
-            &self.db,
-            &shard_refs,
-            opts.use_cache.then_some(&cache_refs[..]),
-            queries,
-            opts,
-        )?)
+        let caches: Vec<&ResultCache> = self.caches.iter().collect();
+        Ok(self.with_readers(|db, readers| {
+            exec::run_batch(
+                db,
+                readers,
+                opts.use_cache.then_some(&caches[..]),
+                queries,
+                opts,
+            )
+        })?)
     }
 
     /// Describes — without executing — the plan the engine would choose
     /// for `query` under `opts`: probe order with row estimates, the
-    /// readahead budget, and per-shard feasibility and score bounds from
-    /// each shard's statistics. Render with
-    /// [`tale::PlanReport::render`] or serialize to JSON.
+    /// readahead budget, and per-reader feasibility and score bounds
+    /// (each shard contributes its base and its delta reader). Render
+    /// with [`tale::PlanReport::render`] or serialize to JSON.
     pub fn explain(&self, query: &Graph, opts: &QueryOptions) -> tale::PlanReport {
-        let shard_refs: Vec<&dyn IndexReader> = self
-            .index
-            .shards()
-            .iter()
-            .map(|s| s as &dyn IndexReader)
-            .collect();
-        tale::engine::plan::plan_report(&self.db, &shard_refs, query, opts)
+        self.with_readers(|db, readers| tale::engine::plan::plan_report(db, readers, query, opts))
     }
 
     /// Runs an approximate subgraph query, scattered over the shards.
@@ -342,9 +391,9 @@ impl ShardedTaleDatabase {
     }
 
     /// Like [`ShardedTaleDatabase::query_batch`], also returning
-    /// batch-level statistics — including one
-    /// [`tale::ShardStats`] per shard in
-    /// [`BatchStats::shards`] and the skew ratio via
+    /// batch-level statistics — including one [`tale::ShardStats`] per
+    /// *reader* in [`BatchStats::shards`] (entry `2s` is shard `s`'s base
+    /// generation, `2s + 1` its delta) and the skew ratio via
     /// [`BatchStats::shard_skew`].
     pub fn query_batch_with_stats(
         &self,
@@ -359,19 +408,20 @@ impl ShardedTaleDatabase {
         self.caches
             .iter()
             .map(ResultCache::stats)
-            .fold(CacheStats::default(), |a, b| CacheStats {
-                entries: a.entries + b.entries,
-                capacity: a.capacity + b.capacity,
-                hits: a.hits + b.hits,
-                misses: a.misses + b.misses,
-                insertions: a.insertions + b.insertions,
-                invalidations: a.invalidations + b.invalidations,
-            })
+            .fold(CacheStats::default(), merge_cache_stats)
     }
 
-    /// Result-cache counters per shard, in shard order.
+    /// Result-cache counters per loaded shard (base and delta caches
+    /// summed), in shard order.
     pub fn shard_cache_stats(&self) -> Vec<CacheStats> {
-        self.caches.iter().map(ResultCache::stats).collect()
+        self.caches
+            .chunks(2)
+            .map(|pair| {
+                pair.iter()
+                    .map(ResultCache::stats)
+                    .fold(CacheStats::default(), merge_cache_stats)
+            })
+            .collect()
     }
 
     /// Drops every cached result on every shard.
@@ -379,6 +429,17 @@ impl ShardedTaleDatabase {
         for c in &self.caches {
             c.clear();
         }
+    }
+}
+
+fn merge_cache_stats(a: CacheStats, b: CacheStats) -> CacheStats {
+    CacheStats {
+        entries: a.entries + b.entries,
+        capacity: a.capacity + b.capacity,
+        hits: a.hits + b.hits,
+        misses: a.misses + b.misses,
+        insertions: a.insertions + b.insertions,
+        invalidations: a.invalidations + b.invalidations,
     }
 }
 
@@ -436,10 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn insert_retires_only_owning_shard_cache_keys() {
+    fn insert_retires_only_owning_shard_delta_cache_keys() {
         let (db, graphs) = small_db();
-        let mut sharded =
-            ShardedTaleDatabase::build_in_temp(db, &TaleParams::default(), 3).unwrap();
+        let sharded = ShardedTaleDatabase::build_in_temp(db, &TaleParams::default(), 3).unwrap();
         let opts = QueryOptions {
             p_imp: 0.5,
             ..Default::default()
@@ -461,33 +521,83 @@ mod tests {
         sharded.query(&graphs[0], &opts).unwrap();
         let gid = sharded.insert_graph("late", graphs[0].clone()).unwrap();
         let owner = sharded.index().shard_of(gid).unwrap() as usize;
-        // nothing is cleared — the owning shard's old entries are merely
-        // unreachable under its advanced generation
+        // nothing is cleared — only the owning shard's delta epoch rolled
         let after: Vec<usize> = sharded
             .shard_cache_stats()
             .iter()
             .map(|s| s.entries)
             .collect();
         assert_eq!(before, after, "insert must not clear any cache");
-        // a repeat query re-probes *only* the owning shard; every other
-        // shard answers from its still-reachable cached partials
-        let counters: Vec<_> = sharded
+        // a repeat query re-probes *only* the owning shard's delta; every
+        // base, and every other shard, answers from still-reachable
+        // cached partials
+        let snaps: Vec<_> = sharded
             .index()
             .shards()
             .iter()
-            .map(|s| s.counters())
+            .map(|s| s.snapshot())
+            .collect();
+        let counters: Vec<_> = snaps
+            .iter()
+            .map(|s| (s.base().counters(), s.delta().counters()))
             .collect();
         let res = sharded.query(&graphs[0], &opts).unwrap();
-        for (s, shard) in sharded.index().shards().iter().enumerate() {
-            let d = shard.counters().since(counters[s]);
+        for (s, snap) in snaps.iter().enumerate() {
+            let base = snap.base().counters().since(counters[s].0);
+            let delta = snap.delta().counters().since(counters[s].1);
+            assert_eq!(base.probes, 0, "shard {s}'s base must hit its cache");
             if s == owner {
-                assert!(d.probes > 0, "owning shard must re-run under its new key");
+                assert!(delta.probes > 0, "owning shard's delta must re-run");
             } else {
-                assert_eq!(d.probes, 0, "non-owning shard {s} must hit its cache");
+                assert_eq!(delta.probes, 0, "non-owning shard {s} must hit its cache");
             }
         }
         // and the inserted graph is immediately queryable
         assert!(res.iter().any(|m| m.graph == gid));
+    }
+
+    #[test]
+    fn fold_keeps_answers_and_moves_every_shard_on() {
+        let (db, graphs) = small_db();
+        let dir = tempfile::tempdir().unwrap();
+        let sharded =
+            ShardedTaleDatabase::build(db, dir.path(), &TaleParams::default(), 3, &HashPolicy)
+                .unwrap();
+        let opts = QueryOptions {
+            p_imp: 0.5,
+            ..Default::default()
+        };
+        sharded.insert_graph("late", graphs[1].clone()).unwrap();
+        sharded.remove_graph(GraphId(2)).unwrap();
+        let want: Vec<_> = graphs
+            .iter()
+            .map(|g| sharded.query(g, &opts).unwrap())
+            .collect();
+        let pinned = sharded.index().shards()[0].snapshot();
+        let reports = sharded.fold().unwrap();
+        assert_eq!(reports.len(), 3);
+        assert!(reports.iter().all(|r| r.new_generation == 1));
+        assert_eq!(reports.iter().map(|r| r.folded_inserts).sum::<u32>(), 1);
+        assert_eq!(
+            pinned.base_generation(),
+            0,
+            "a pinned snapshot keeps its generation"
+        );
+        drop(pinned);
+        for (g, w) in graphs.iter().zip(&want) {
+            let got = sharded.query(g, &opts).unwrap();
+            let key = |ms: &[QueryMatch]| -> Vec<_> {
+                ms.iter().map(|m| (m.graph, m.score.to_bits())).collect()
+            };
+            assert_eq!(key(&got), key(w));
+        }
+        drop(sharded);
+        let reopened = ShardedTaleDatabase::open(dir.path(), 256).unwrap();
+        for sh in reopened.index().shards() {
+            assert_eq!(sh.current_generation(), 1);
+            assert_eq!(sh.snapshot().delta_graphs(), 0);
+        }
+        assert!(reopened.index().is_removed(GraphId(2)));
     }
 
     #[test]

@@ -1,17 +1,32 @@
-//! [`ShardedNhIndex`]: N independent NH-Index files behind one handle.
+//! [`ShardedNhIndex`]: N independent generational NH-Indexes behind one
+//! handle.
 //!
-//! Each shard is a complete, self-contained `tale-nhindex` directory
-//! (B+-tree, posting blobs, meta file) covering a disjoint subset of the
-//! database's graphs. All shards share one neighbor-array scheme — every
-//! [`NhIndex::build_subset`] call derives it from the *full* database
-//! vocabulary — which is what makes per-shard probe answers byte-equal to
-//! the matching slice of an unsharded probe (see `tale::engine::exec` for
-//! the full determinism argument).
+//! Each shard is a complete, self-contained [`GenerationalNhIndex`]
+//! directory (`mvcc.json` + immutable `gens/gN/` generations) covering a
+//! disjoint subset of the database's graphs: its on-disk base, an
+//! in-memory delta over the owned graphs inserted since, and a tombstone
+//! set. All shards share one neighbor-array scheme — every build and
+//! every fold derives it from the *full* database vocabulary
+//! ([`NhIndex::scheme_for`]) — which is what makes per-shard probe
+//! answers byte-equal to the matching slice of an unsharded probe (see
+//! `tale::engine::exec` for the full determinism argument).
 //!
-//! Building fans one [`NhIndex::build_subset`] per shard across worker
-//! threads: each shard extracts, sorts, and bulk-loads in isolation, so
-//! the sort+merge step — serial in a single-file build even with
+//! Building fans one generation-0 build per shard across worker threads:
+//! each shard extracts, sorts, and bulk-loads in isolation, so the
+//! sort+merge step — serial in a single-file build even with
 //! `parallel_build` on — is itself partitioned N ways.
+//!
+//! ## Commit points
+//!
+//! * **insert** — the `shards.json` assignment length. The caller stages
+//!   its mutation journal and saves `graphs.json` first; the manifest
+//!   rewrite that appends the new graph's shard commits the insert; the
+//!   owning shard's delta is then extended in memory only (it is
+//!   re-derived from the assignment on open).
+//! * **remove** — the owning shard's `mvcc.json` tombstone write.
+//! * **fold** — each shard's `mvcc.json` generation flip. A fold cut
+//!   short between two shards' flips leaves the shards on different
+//!   generations; open completes it by folding the shards that lag.
 
 use crate::manifest::{
     vocab_fingerprint, ShardManifest, ShardStatsSummary, MANIFEST_SCHEMA_VERSION,
@@ -19,11 +34,13 @@ use crate::manifest::{
 use crate::policy::{policy_by_name, ShardPolicy};
 use crate::{Result, ShardError};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::RwLock;
 use std::time::Instant;
 use tale_graph::{GraphDb, GraphId};
-use tale_nhindex::{IntegrityReport, NhIndex, NhIndexConfig, ProbeCounters, RecoveryReport};
-use tale_storage::IoPool;
+use tale_nhindex::{
+    FoldReport, GenerationalNhIndex, IntegrityReport, MvccRecovery, NhIndex, NhIndexConfig,
+    ProbeCounters, SharedIo,
+};
 
 /// Per-shard build timings and sizes, for observability and the E-SHARD
 /// experiment. Produced by [`ShardedNhIndex::build_with_stats`].
@@ -58,23 +75,31 @@ impl ShardBuildStats {
     }
 }
 
-/// Manifest-embedded digests of every shard's statistics (observability
-/// only — the planner reads the live per-shard statistics instead).
-fn summarize_shards(shards: &[NhIndex]) -> Vec<ShardStatsSummary> {
+/// Manifest-embedded digests of every shard's base statistics
+/// (observability only — the planner reads the live per-shard statistics
+/// instead).
+fn summarize_shards(shards: &[GenerationalNhIndex]) -> Vec<ShardStatsSummary> {
     shards
         .iter()
-        .map(|sh| match sh.statistics() {
+        .map(|sh| match sh.snapshot().base().statistics() {
             Some(s) => ShardStatsSummary::from(s.as_ref()),
             None => ShardStatsSummary::default(),
         })
         .collect()
 }
 
-/// A partitioned NH-Index: one independent index file set per shard plus
-/// the [`ShardManifest`] mapping graphs to shards.
+/// A partitioned NH-Index: one generational index per shard plus the
+/// [`ShardManifest`] mapping graphs to shards. Mutates through `&self`;
+/// the caller serializes writers.
+///
+/// A handle loads either every shard ([`ShardedNhIndex::open_with_recovery`])
+/// or one ([`ShardedNhIndex::open_shard`], a served worker's view);
+/// [`ShardedNhIndex::shards`] lists the loaded ones.
 pub struct ShardedNhIndex {
-    shards: Vec<NhIndex>,
-    manifest: ShardManifest,
+    /// Loaded shards, in shard order, starting at shard `first`.
+    shards: Vec<GenerationalNhIndex>,
+    first: u32,
+    manifest: RwLock<ShardManifest>,
     dir: PathBuf,
 }
 
@@ -94,10 +119,10 @@ impl ShardedNhIndex {
 
     /// Builds a sharded index and reports per-shard timings.
     ///
-    /// `policy.assign` splits the graphs; each shard then runs a full
-    /// [`NhIndex::build_subset`] in its own `shard-NNN/` directory, fanned
-    /// over `threads` workers (`0` = all cores). The manifest is written
-    /// last, so a crash mid-build leaves no directory that
+    /// `policy.assign` splits the graphs; each shard then builds
+    /// generation 0 over its graphs in its own `shard-NNN/` directory,
+    /// fanned over `threads` workers (`0` = all cores). The manifest is
+    /// written last, so a crash mid-build leaves no directory that
     /// [`ShardedNhIndex::open`] would accept.
     pub fn build_with_stats(
         dir: &Path,
@@ -136,22 +161,23 @@ impl ShardedNhIndex {
         // bulk-loads its own B+-tree — no cross-shard merge exists. With
         // more than one shard the shard-level fan-out already occupies the
         // workers, so each shard extracts serially inside its thread.
-        // Per-shard async read paths are disabled here and rebound below
-        // to ONE shared worker pool, so total I/O concurrency stays
-        // `config.io_workers`, not `shards × io_workers`.
+        // Every shard's generations bind to ONE shared worker pool, so
+        // total I/O concurrency stays `config.io_workers`, not
+        // `shards × io_workers`.
         let sub_config = NhIndexConfig {
             parallel_build: config.parallel_build && nshards == 1,
-            io_workers: 0,
             ..config.clone()
         };
-        let built: Vec<tale_nhindex::Result<(NhIndex, f64)>> =
+        let io = SharedIo::new(config.io_workers, config.prefetch_pages);
+        let built: Vec<tale_nhindex::Result<(GenerationalNhIndex, f64)>> =
             tale_par::parallel_map(threads, nshards, |s| {
                 let t = Instant::now();
-                let idx = NhIndex::build_subset(
+                let idx = GenerationalNhIndex::build_owned(
                     &ShardManifest::shard_dir(dir, s as u32),
                     db,
                     &sub_config,
-                    &groups[s],
+                    groups[s].clone(),
+                    io.clone(),
                 )?;
                 Ok((idx, t.elapsed().as_secs_f64()))
             });
@@ -161,12 +187,6 @@ impl ShardedNhIndex {
             let (idx, secs) = r?;
             shards.push(idx);
             per_shard_secs.push(secs);
-        }
-        if config.io_workers > 0 {
-            let io = IoPool::new(config.io_workers);
-            for sh in &mut shards {
-                sh.attach_io(Arc::clone(&io), config.prefetch_pages);
-            }
         }
 
         let fp = vocab_fingerprint(db);
@@ -192,7 +212,8 @@ impl ShardedNhIndex {
         Ok((
             ShardedNhIndex {
                 shards,
-                manifest,
+                first: 0,
+                manifest: RwLock::new(manifest),
                 dir: dir.to_owned(),
             },
             stats,
@@ -209,16 +230,43 @@ impl ShardedNhIndex {
         Ok(Self::open_with_recovery(dir, buffer_frames, db)?.0)
     }
 
-    /// Like [`ShardedNhIndex::open`], but recovers each shard
-    /// independently and reports what each one's WAL recovery did (in
-    /// shard order). A shard that cannot be opened — even after its own
-    /// rollback — fails with [`ShardError::Shard`] naming it, so a
-    /// partial-shard failure is distinguishable from a bad manifest.
+    /// Like [`ShardedNhIndex::open`], also reporting what each shard's
+    /// open found (in shard order). Shards left a generation behind by an
+    /// interrupted fold are folded forward. A shard that cannot be opened fails
+    /// with [`ShardError::Shard`] naming it, so a partial-shard failure
+    /// is distinguishable from a bad manifest.
     pub fn open_with_recovery(
         dir: &Path,
         buffer_frames: usize,
         db: &GraphDb,
-    ) -> Result<(Self, Vec<RecoveryReport>)> {
+    ) -> Result<(Self, Vec<MvccRecovery>)> {
+        let io = SharedIo::new(
+            tale_nhindex::DEFAULT_IO_WORKERS,
+            tale_nhindex::DEFAULT_PREFETCH_PAGES,
+        );
+        Self::open_range(dir, db, None, buffer_frames, io)
+    }
+
+    /// Opens only shard `shard` — the view a served worker holds. Reads
+    /// and routes against the full manifest, but probes, folds and
+    /// accepts mutations for this one shard.
+    pub fn open_shard(
+        dir: &Path,
+        db: &GraphDb,
+        shard: u32,
+        buffer_frames: usize,
+        io: Option<SharedIo>,
+    ) -> Result<(Self, Vec<MvccRecovery>)> {
+        Self::open_range(dir, db, Some(shard), buffer_frames, io)
+    }
+
+    fn open_range(
+        dir: &Path,
+        db: &GraphDb,
+        only: Option<u32>,
+        buffer_frames: usize,
+        io: Option<SharedIo>,
+    ) -> Result<(Self, Vec<MvccRecovery>)> {
         let manifest = ShardManifest::load(dir)?;
         if manifest.assignment.len() != db.len() {
             return Err(ShardError::Manifest(format!(
@@ -235,66 +283,99 @@ impl ShardedNhIndex {
                 manifest.vocab_fingerprints[s]
             )));
         }
-        let mut shards = Vec::with_capacity(manifest.shard_count as usize);
-        let mut reports = Vec::with_capacity(manifest.shard_count as usize);
-        for s in 0..manifest.shard_count {
-            // Open with prefetching off; all shards are bound to one
-            // shared worker pool below.
-            let (idx, report) = NhIndex::open_with_recovery_io(
+        let range = match only {
+            Some(s) if s >= manifest.shard_count => {
+                return Err(ShardError::Manifest(format!(
+                    "shard {s} out of range: manifest has {} shards",
+                    manifest.shard_count
+                )))
+            }
+            Some(s) => s..s + 1,
+            None => 0..manifest.shard_count,
+        };
+        let mut shards = Vec::with_capacity(range.len());
+        let mut reports = Vec::with_capacity(range.len());
+        for s in range.clone() {
+            let (idx, report) = GenerationalNhIndex::open_owned(
                 &ShardManifest::shard_dir(dir, s),
+                db,
+                &manifest.graphs_of(s),
                 buffer_frames,
-                0,
-                0,
+                io.clone(),
             )
             .map_err(|source| ShardError::Shard { shard: s, source })?;
             shards.push(idx);
             reports.push(report);
         }
-        let io = IoPool::new(tale_nhindex::DEFAULT_IO_WORKERS);
-        for sh in &mut shards {
-            sh.attach_io(Arc::clone(&io), tale_nhindex::DEFAULT_PREFETCH_PAGES);
+        // Every fold moves all shards one generation on, so shards on
+        // different generations mean a fold cut short between two shards'
+        // manifest flips: finish it — otherwise a fold that changed the
+        // scheme would leave the shards probing under two.
+        let newest = shards
+            .iter()
+            .map(GenerationalNhIndex::current_generation)
+            .max();
+        for (s, sh) in range.clone().zip(&shards) {
+            while Some(sh.current_generation()) < newest {
+                sh.fold(db)
+                    .map_err(|source| ShardError::Shard { shard: s, source })?;
+            }
         }
         Ok((
             ShardedNhIndex {
                 shards,
-                manifest,
+                first: range.start,
+                manifest: RwLock::new(manifest),
                 dir: dir.to_owned(),
             },
             reports,
         ))
     }
 
-    /// Deep integrity check of every shard: page checksums, B+-tree key
-    /// ordering, and posting decodability ([`NhIndex::verify`]). Returns
-    /// one report per shard, in shard order; an I/O failure while sweeping
-    /// a shard is attributed to it via [`ShardError::Shard`].
+    /// Deep integrity check of every loaded shard's current generation:
+    /// page checksums, B+-tree key ordering, and posting decodability
+    /// ([`NhIndex::verify`]). Returns one report per shard, in shard
+    /// order; an I/O failure while sweeping a shard is attributed to it
+    /// via [`ShardError::Shard`].
     pub fn verify(&self) -> Result<Vec<IntegrityReport>> {
-        self.shards
-            .iter()
-            .enumerate()
+        self.numbered()
             .map(|(s, sh)| {
-                sh.verify().map_err(|source| ShardError::Shard {
-                    shard: s as u32,
-                    source,
-                })
+                sh.verify()
+                    .map_err(|source| ShardError::Shard { shard: s, source })
             })
             .collect()
     }
 
-    /// The shards, in shard order. Each is a full [`NhIndex`]; the query
-    /// engine scatters over exactly this slice.
-    pub fn shards(&self) -> &[NhIndex] {
+    /// The loaded shards, in shard order. The query engine scatters over
+    /// each one's base and delta readers.
+    pub fn shards(&self) -> &[GenerationalNhIndex] {
         &self.shards
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// The loaded shards with their shard numbers.
+    pub fn numbered(&self) -> impl Iterator<Item = (u32, &GenerationalNhIndex)> {
+        (self.first..).zip(&self.shards)
     }
 
-    /// The shard map.
-    pub fn manifest(&self) -> &ShardManifest {
-        &self.manifest
+    /// Shard `s`, if this handle loaded it.
+    pub fn shard(&self, s: u32) -> Option<&GenerationalNhIndex> {
+        s.checked_sub(self.first)
+            .and_then(|i| self.shards.get(i as usize))
+    }
+
+    /// Number of shards in the layout (loaded or not).
+    pub fn shard_count(&self) -> usize {
+        crate::read(&self.manifest).shard_count as usize
+    }
+
+    /// A copy of the shard map.
+    pub fn manifest(&self) -> ShardManifest {
+        crate::read(&self.manifest).clone()
+    }
+
+    /// Graphs the shard map assigns — the insert commit counter.
+    pub fn graph_count(&self) -> usize {
+        crate::read(&self.manifest).assignment.len()
     }
 
     /// Root directory (the one holding `shards.json`).
@@ -305,80 +386,116 @@ impl ShardedNhIndex {
     /// The shard owning `gid`, or `None` if the manifest has never seen
     /// that id.
     pub fn shard_of(&self, gid: GraphId) -> Option<u32> {
-        self.manifest.shard_of(gid)
+        crate::read(&self.manifest).shard_of(gid)
     }
 
-    /// Where the build policy would place a newly inserted graph, without
+    fn loaded(&self, s: u32) -> Result<&GenerationalNhIndex> {
+        self.shard(s)
+            .ok_or_else(|| ShardError::Manifest(format!("shard {s} is not loaded by this handle")))
+    }
+
+    /// Where the build policy places a newly inserted graph, without
     /// mutating anything. `gid` must be the id just returned by
-    /// [`GraphDb::insert`] on `db` (dense append). Exposed separately from
-    /// [`ShardedNhIndex::insert_graph`] so a journaling caller can record
-    /// the owning shard's pre-mutation generation before the insert runs.
+    /// [`GraphDb::insert`] on `db` (dense append), and the owning shard
+    /// must be loaded.
     pub fn route(&self, db: &GraphDb, gid: GraphId) -> Result<u32> {
-        if gid.idx() != self.manifest.assignment.len() {
+        let manifest = crate::read(&self.manifest);
+        if gid.idx() != manifest.assignment.len() {
             return Err(ShardError::Manifest(format!(
                 "insert of graph {} but manifest maps {} graphs (ids are dense)",
                 gid.0,
-                self.manifest.assignment.len()
+                manifest.assignment.len()
             )));
         }
-        let policy = policy_by_name(&self.manifest.policy).ok_or_else(|| {
-            ShardError::Manifest(format!("unknown routing policy {:?}", self.manifest.policy))
+        let policy = policy_by_name(&manifest.policy).ok_or_else(|| {
+            ShardError::Manifest(format!("unknown routing policy {:?}", manifest.policy))
         })?;
-        let loads: Vec<u64> = self.shards.iter().map(NhIndex::node_count).collect();
-        Ok(policy.route(db, gid, &loads))
-    }
-
-    /// Incrementally indexes a newly inserted graph, routing it with the
-    /// build policy and updating the manifest. `gid` must be the id just
-    /// returned by [`GraphDb::insert`] on `db` (dense append). Returns the
-    /// owning shard, so callers can scope cache invalidation to it.
-    pub fn insert_graph(&mut self, db: &GraphDb, gid: GraphId) -> Result<u32> {
-        let s = self.route(db, gid)?;
-        self.insert_graph_routed(db, gid, s)?;
+        let loads: Vec<u64> = (0..manifest.shard_count)
+            .map(|s| {
+                manifest
+                    .graphs_of(s)
+                    .iter()
+                    .map(|&g| db.graph(g).node_count() as u64)
+                    .sum()
+            })
+            .collect();
+        let s = policy.route(db, gid, &loads);
+        self.loaded(s)?;
         Ok(s)
     }
 
-    /// Indexes `gid` into the already-chosen shard `s` (from
-    /// [`ShardedNhIndex::route`]) and persists the updated manifest.
-    ///
-    /// Crash ordering: the shard's own WAL transaction commits first (its
-    /// generation bump), then the manifest is rewritten atomically. A
-    /// crash in the window between the two leaves a committed shard with a
-    /// short manifest; [`crate::ShardedTaleDatabase::open_with_recovery`]
-    /// detects that from the mutation journal and rolls the manifest
-    /// *forward*.
-    pub fn insert_graph_routed(&mut self, db: &GraphDb, gid: GraphId, s: u32) -> Result<()> {
-        self.shards[s as usize].insert_graph(db, gid)?;
-        self.manifest.assignment.push(s);
+    /// Commits the insert of `gid` (routed to shard `s` by
+    /// [`ShardedNhIndex::route`]): the atomic `shards.json` rewrite
+    /// appending `s` is the commit point. The caller must already have
+    /// saved a `graphs.json` holding `gid` under its mutation journal,
+    /// and follows up with [`ShardedNhIndex::extend_delta`].
+    pub fn commit_insert(&self, db: &GraphDb, gid: GraphId, s: u32) -> Result<()> {
+        self.loaded(s)?;
+        let mut next = crate::read(&self.manifest).clone();
+        next.assignment.push(s);
         // Inserting can grow the vocabulary; every shard keyed off the old
         // one stays correct (bit positions only wrap), but the recorded
         // fingerprints must match what `open` will recompute.
-        let fp = vocab_fingerprint(db);
-        self.manifest.vocab_fingerprints = vec![fp; self.shards.len()];
-        self.manifest.shard_stats = summarize_shards(&self.shards);
-        self.manifest.save(&self.dir)?;
+        next.vocab_fingerprints = vec![vocab_fingerprint(db); next.shard_count as usize];
+        if self.shards.len() == next.shard_count as usize {
+            next.shard_stats = summarize_shards(&self.shards);
+        }
+        debug_assert_eq!(gid.idx() + 1, next.assignment.len());
+        next.save(&self.dir)?;
+        *crate::write(&self.manifest) = next;
         Ok(())
     }
 
-    /// Logically removes a graph (tombstone in its owning shard). Returns
-    /// the owning shard, so callers can scope cache eviction to it.
-    pub fn remove_graph(&mut self, gid: GraphId, vocab_size: u64) -> Result<u32> {
+    /// Publishes a committed insert to shard `s`'s readers (in memory
+    /// only — open re-derives the delta from the assignment).
+    pub fn extend_delta(&self, db: &GraphDb, gid: GraphId, s: u32) -> Result<()> {
+        self.loaded(s)?
+            .extend_delta(db, gid)
+            .map_err(|source| ShardError::Shard { shard: s, source })
+    }
+
+    /// Tombstones a graph in its owning shard (the shard's `mvcc.json`
+    /// write is the commit point). Returns the owning shard.
+    pub fn remove_graph(&self, gid: GraphId) -> Result<u32> {
         let s = self.shard_of(gid).ok_or_else(|| {
             ShardError::Manifest(format!("graph {} is not in the shard map", gid.0))
         })?;
-        self.shards[s as usize].remove_graph(gid, vocab_size)?;
+        self.loaded(s)?
+            .remove_graph(gid)
+            .map_err(|source| ShardError::Shard { shard: s, source })?;
         Ok(s)
     }
 
-    /// Whether `gid` has been tombstoned (unknown ids read as removed).
+    /// Folds every loaded shard against `db` — one `db`, so every shard
+    /// lands on the same scheme. Returns one report per shard.
+    pub fn fold(&self, db: &GraphDb) -> Result<Vec<FoldReport>> {
+        self.numbered()
+            .map(|(s, sh)| {
+                sh.fold(db)
+                    .map_err(|source| ShardError::Shard { shard: s, source })
+            })
+            .collect()
+    }
+
+    /// Whether the next [`ShardedNhIndex::fold`] against `db` changes the
+    /// neighbor-array scheme (and with it the answers).
+    pub fn fold_changes_scheme(&self, db: &GraphDb) -> bool {
+        self.shards
+            .first()
+            .is_some_and(|sh| sh.scheme() != NhIndex::scheme_for(db, sh.config()))
+    }
+
+    /// Whether `gid` has been tombstoned (unknown ids, and ids of shards
+    /// this handle did not load, read as removed).
     pub fn is_removed(&self, gid: GraphId) -> bool {
-        match self.shard_of(gid) {
-            Some(s) => self.shards[s as usize].is_removed(gid),
+        match self.shard_of(gid).and_then(|s| self.shard(s)) {
+            Some(sh) => sh.is_removed(gid),
             None => true,
         }
     }
 
-    /// Probe-traffic counters summed over all shards.
+    /// Probe-traffic counters summed over all loaded shards (base and
+    /// delta).
     pub fn counters(&self) -> ProbeCounters {
         let mut total = ProbeCounters::default();
         for sh in &self.shards {
@@ -392,36 +509,43 @@ impl ShardedNhIndex {
         total
     }
 
-    /// Buffer-pool statistics summed over all shards.
+    /// Buffer-pool statistics summed over all loaded shards.
     pub fn pool_stats(&self) -> tale_storage::PoolStats {
         self.shards
             .iter()
-            .map(NhIndex::pool_stats)
+            .map(GenerationalNhIndex::pool_stats)
             .fold(tale_storage::PoolStats::default(), |a, b| a.merged(b))
     }
 
-    /// Readahead statistics summed over all shards.
+    /// Readahead statistics summed over all loaded shards.
     pub fn prefetch_stats(&self) -> tale_storage::PrefetchStats {
         self.shards
             .iter()
-            .map(NhIndex::prefetch_stats)
+            .map(GenerationalNhIndex::prefetch_stats)
             .fold(tale_storage::PrefetchStats::default(), |a, b| a.merged(b))
     }
 
-    /// Total on-disk footprint over all shards, in bytes.
+    /// On-disk footprint of the loaded shards' current generations, in
+    /// bytes.
     pub fn size_bytes(&self) -> u64 {
-        self.shards.iter().map(NhIndex::size_bytes).sum()
+        self.shards
+            .iter()
+            .map(GenerationalNhIndex::size_bytes)
+            .sum()
     }
 
-    /// Total indexed nodes over all shards.
+    /// Indexed nodes (base and delta) over all loaded shards.
     pub fn node_count(&self) -> u64 {
-        self.shards.iter().map(NhIndex::node_count).sum()
+        self.shards
+            .iter()
+            .map(GenerationalNhIndex::node_count)
+            .sum()
     }
 
-    /// Total B+-tree keys over all shards (shards index disjoint graph
-    /// sets but can share key values, so this can exceed the single-index
-    /// key count).
+    /// Composite keys (base and delta) over all loaded shards (shards
+    /// index disjoint graph sets but can share key values, so this can
+    /// exceed the single-index key count).
     pub fn key_count(&self) -> u64 {
-        self.shards.iter().map(NhIndex::key_count).sum()
+        self.shards.iter().map(GenerationalNhIndex::key_count).sum()
     }
 }

@@ -138,3 +138,20 @@ impl From<std::io::Error> for ShardError {
 
 /// Result alias.
 pub type Result<T> = std::result::Result<T, ShardError>;
+
+/// Read-locks `l`. A writer that panicked mid-update never leaves a
+/// half-built value behind here — every guarded value is replaced
+/// whole — so a poisoned lock is still safe to read.
+pub(crate) fn read<T>(l: &std::sync::RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Write-locks `l` (see [`read`] for why poisoning is ignored).
+pub(crate) fn write<T>(l: &std::sync::RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Locks `m` (see [`read`] for why poisoning is ignored).
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -6,7 +6,7 @@
 //! index-dir/
 //!   shards.json      <- this manifest
 //!   graphs.json      <- the graph database (same format as unsharded)
-//!   shard-000/       <- a complete, self-contained NH-Index
+//!   shard-000/       <- a generational NH-Index: mvcc.json + gens/gN/
 //!   shard-001/
 //!   ...
 //! ```
@@ -31,7 +31,11 @@ use tale_nhindex::IndexStatistics;
 pub const MANIFEST_FILE: &str = "shards.json";
 
 /// Current manifest schema version (bumped on incompatible change).
-pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
+/// Version 2: every `shard-NNN/` is a generational index (`mvcc.json` +
+/// `gens/gN/`), and the assignment length is the insert commit point.
+/// Version 1 shards were plain index directories mutated in place; their
+/// manifests are refused rather than served.
+pub const MANIFEST_SCHEMA_VERSION: u32 = 2;
 
 /// The persisted shard map (see the module docs for the directory layout).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -49,13 +53,13 @@ pub struct ShardManifest {
     /// Per-shard fingerprint of the vocabulary (node + edge + group map)
     /// the shard's index was built or last extended against.
     pub vocab_fingerprints: Vec<u64>,
-    /// Per-shard statistics summaries, refreshed whenever the manifest is
-    /// rewritten. **Observability only** (`tale-cli stats`, dashboards):
-    /// manifests recovered by journal roll-forward can carry summaries one
-    /// mutation behind, so the planner reads each shard's live
-    /// `nh.stats.json` instead — the manifest copy may *under*estimate,
-    /// which would be the unsafe direction for pruning. Absent in
-    /// pre-statistics manifests (`serde` default: empty).
+    /// Per-shard statistics summaries of the base generations, refreshed
+    /// whenever the manifest is rewritten. **Observability only**
+    /// (`tale-cli stats`, dashboards): they describe the bases as of the
+    /// last insert and miss later deltas and folds, so the planner reads
+    /// each shard's live statistics instead — the manifest copy may
+    /// *under*estimate, which would be the unsafe direction for pruning.
+    /// Absent in pre-statistics manifests (`serde` default: empty).
     #[serde(default)]
     pub shard_stats: Vec<ShardStatsSummary>,
 }
@@ -269,12 +273,37 @@ mod tests {
     }
 
     #[test]
+    fn load_refuses_the_in_place_layout() {
+        // a version-1 manifest describes shards mutated in place (no
+        // mvcc.json): refused with both versions named, never served
+        let dir = tempfile::tempdir().unwrap();
+        let json = r#"{
+            "schema_version": 1,
+            "shard_count": 2,
+            "policy": "hash",
+            "assignment": [0, 1],
+            "vocab_fingerprints": [3, 3]
+        }"#;
+        std::fs::write(dir.path().join(MANIFEST_FILE), json).unwrap();
+        match ShardManifest::load(dir.path()) {
+            Err(ShardError::Manifest(m)) => {
+                assert!(m.contains("schema version 1"), "{m}");
+                assert!(
+                    m.contains(&format!("reads {MANIFEST_SCHEMA_VERSION}")),
+                    "{m}"
+                );
+            }
+            other => panic!("expected a manifest refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn pre_statistics_manifest_loads_with_empty_summaries() {
         // a manifest written before the statistics subsystem has no
         // `shard_stats` key; serde's default must accept it
         let dir = tempfile::tempdir().unwrap();
         let json = r#"{
-            "schema_version": 1,
+            "schema_version": 2,
             "shard_count": 2,
             "policy": "hash",
             "assignment": [0, 1],

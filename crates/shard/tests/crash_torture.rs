@@ -1,9 +1,10 @@
-//! Sharded crash-torture harness: every gated I/O operation of a sharded
-//! insert — journal staging, the `graphs.json` save, the owning shard's
-//! WAL transaction, and the atomic `shards.json` rewrite — is failed in
-//! turn, process death is simulated by dropping the handle with the fault
-//! still tripped, and the reopened database must answer queries
-//! bit-identically to either the pre-insert or the post-insert state.
+//! Sharded crash-torture harness: every gated I/O operation of every
+//! sharded mutation — the insert's journal staging, `graphs.json` save
+//! and `shards.json` commit; the removal's tombstone write; each shard's
+//! generation build and manifest flip in a fold — is failed in turn,
+//! process death is simulated by dropping the handle with the fault still
+//! tripped, and the reopened database must answer queries bit-identically
+//! to either the pre-mutation or the post-mutation state.
 //!
 //! The fault shim is thread-local, so these tests are safe under the
 //! default parallel test runner.
@@ -14,8 +15,8 @@ use tale_graph::{Graph, GraphDb, GraphId, NodeId};
 use tale_shard::{HashPolicy, ShardError, ShardedTaleDatabase};
 use tale_storage::faults;
 
-/// Tiny per-shard pool so mutations overflow it and exercise eviction
-/// write-backs (which must WAL-protect their pages) mid-transaction.
+/// Tiny per-shard pool so generation builds overflow it and exercise
+/// eviction write-backs.
 fn params() -> TaleParams {
     TaleParams {
         buffer_frames: 8,
@@ -99,70 +100,70 @@ fn copy_tree(src: &Path, dst: &Path) {
     }
 }
 
-#[test]
-fn torture_sharded_insert_graph() {
-    let (db, graphs, fodder) = small_db();
-    let scratch = tempfile::tempdir().unwrap();
-    let pre = scratch.path().join("pre");
-    let sharded = ShardedTaleDatabase::build(db, &pre, &params(), 2, &HashPolicy).unwrap();
-    let mut queries = graphs.clone();
-    queries.push(fodder.clone());
-    let pre_len = sharded.db().len();
-    let pre_answers = answers(&sharded, &queries);
-    drop(sharded);
+/// The observed state of a recovered database: query answers plus the
+/// durable counters that tell the pre state from the post state (graph
+/// count, then each shard's generation and tombstone count).
+type Observed = (Vec<Vec<Row>>, Vec<u64>);
 
-    // Reference post state: clean insert on a copy.
-    let post_dir = scratch.path().join("post");
-    copy_tree(&pre, &post_dir);
-    let mut post = ShardedTaleDatabase::open(&post_dir, params().buffer_frames).unwrap();
-    post.insert_graph("late", fodder.clone()).unwrap();
-    let post_answers = answers(&post, &queries);
+fn observe(sharded: &ShardedTaleDatabase, queries: &[Graph]) -> Observed {
+    let mut marks = vec![sharded.db().len() as u64];
+    for sh in sharded.index().shards() {
+        let snap = sh.snapshot();
+        marks.extend([snap.base_generation(), snap.removed_count() as u64]);
+    }
+    (answers(sharded, queries), marks)
+}
+
+/// Fails every gated I/O operation of `mutate` in turn on a copy of
+/// `pre`, drops the handle with the fault tripped (the process is
+/// "dead"), reopens through recovery, and asserts the recovered database
+/// is observed exactly as the pre or the post state, with clean shards.
+/// Returns the number of fault points.
+fn sweep<F>(pre: &Path, scratch: &Path, queries: &[Graph], mutate: F) -> u64
+where
+    F: Fn(&ShardedTaleDatabase) -> tale_shard::Result<()>,
+{
+    let frames = params().buffer_frames;
+    let pre_state = observe(&ShardedTaleDatabase::open(pre, frames).unwrap(), queries);
+
+    let post_dir = scratch.join("post");
+    copy_tree(pre, &post_dir);
+    let post = ShardedTaleDatabase::open(&post_dir, frames).unwrap();
+    mutate(&post).unwrap();
     drop(post);
+    let post_state = observe(
+        &ShardedTaleDatabase::open(&post_dir, frames).unwrap(),
+        queries,
+    );
+    assert_ne!(pre_state, post_state, "the mutation changed nothing");
 
-    // Measuring run: how many gated I/O operations does the insert make?
-    let count_dir = scratch.path().join("count");
-    copy_tree(&pre, &count_dir);
-    let mut counted = ShardedTaleDatabase::open(&count_dir, params().buffer_frames).unwrap();
+    // Measuring run: how many gated I/O operations does the mutation make?
+    let count_dir = scratch.join("count");
+    copy_tree(pre, &count_dir);
+    let counted = ShardedTaleDatabase::open(&count_dir, frames).unwrap();
     faults::arm_counting();
-    counted.insert_graph("late", fodder.clone()).unwrap();
+    mutate(&counted).unwrap();
     let n = faults::disarm();
     drop(counted);
-    // journal + graphs.json + shard WAL/pages + manifest: many gates
-    assert!(n >= 8, "suspiciously few fault points: {n}");
+    assert!(n > 0, "mutation made no gated I/O");
 
     for i in 0..n {
-        let work = scratch.path().join(format!("fault-{i}"));
-        copy_tree(&pre, &work);
-        let mut sharded = ShardedTaleDatabase::open(&work, params().buffer_frames).unwrap();
+        let work = scratch.join(format!("fault-{i}"));
+        copy_tree(pre, &work);
+        let sharded = ShardedTaleDatabase::open(&work, frames).unwrap();
         faults::arm(i);
-        let res = sharded.insert_graph("late", fodder.clone());
-        drop(sharded); // Drop flush also fails: the process is "dead"
+        let res = mutate(&sharded);
+        drop(sharded);
         faults::disarm();
         assert!(res.is_err(), "fault {i} of {n} did not surface");
 
-        let (recovered, rec) =
-            ShardedTaleDatabase::open_with_recovery(&work, params().buffer_frames).unwrap();
+        let (recovered, _) = ShardedTaleDatabase::open_with_recovery(&work, frames).unwrap();
+        let got = observe(&recovered, queries);
         assert!(
-            !(rec.db_rolled_back && rec.manifest_rolled_forward),
-            "fault {i}: recovery both rolled back and rolled forward"
+            got == pre_state || got == post_state,
+            "fault {i} of {n}: recovered state is neither pre nor post: {:?}",
+            got.1
         );
-        let got = answers(&recovered, &queries);
-        if recovered.db().len() == pre_len + 1 {
-            assert_eq!(
-                got, post_answers,
-                "fault {i} of {n}: committed state differs from clean insert"
-            );
-        } else {
-            assert_eq!(
-                recovered.db().len(),
-                pre_len,
-                "fault {i}: graph count corrupt"
-            );
-            assert_eq!(
-                got, pre_answers,
-                "fault {i} of {n}: rolled-back state differs from pre-op"
-            );
-        }
         for (s, report) in recovered.index().verify().unwrap().iter().enumerate() {
             assert!(
                 report.is_ok(),
@@ -173,63 +174,83 @@ fn torture_sharded_insert_graph() {
         drop(recovered);
         std::fs::remove_dir_all(&work).unwrap();
     }
+    std::fs::remove_dir_all(&post_dir).unwrap();
+    std::fs::remove_dir_all(&count_dir).unwrap();
+    n
+}
+
+fn built_pre(scratch: &Path) -> (std::path::PathBuf, Vec<Graph>, Graph) {
+    let (db, graphs, fodder) = small_db();
+    let pre = scratch.join("pre");
+    drop(ShardedTaleDatabase::build(db, &pre, &params(), 2, &HashPolicy).unwrap());
+    let mut queries = graphs;
+    queries.push(fodder.clone());
+    (pre, queries, fodder)
+}
+
+#[test]
+fn torture_sharded_insert_graph() {
+    let scratch = tempfile::tempdir().unwrap();
+    let (pre, queries, fodder) = built_pre(scratch.path());
+    let n = sweep(&pre, scratch.path(), &queries, |s| {
+        s.insert_graph("late", fodder.clone()).map(|_| ())
+    });
+    // the protocol's gated steps, each an atomic write (write + rename):
+    // the journal marker, graphs.json, and the shards.json commit
+    assert_eq!(n, 6, "sharded insert fault points");
 }
 
 #[test]
 fn torture_sharded_remove_graph() {
-    // Removal tombstones only the owning shard's index (no journal, no
-    // graphs.json or manifest change), so the shard's own WAL covers it.
-    let (db, graphs, _) = small_db();
+    // Removal tombstones only the owning shard's mvcc.json (no journal,
+    // no graphs.json or shards.json change).
     let scratch = tempfile::tempdir().unwrap();
-    let pre = scratch.path().join("pre");
-    let sharded = ShardedTaleDatabase::build(db, &pre, &params(), 2, &HashPolicy).unwrap();
-    let pre_answers = answers(&sharded, &graphs);
-    drop(sharded);
+    let (pre, queries, _) = built_pre(scratch.path());
+    let n = sweep(&pre, scratch.path(), &queries, |s| {
+        s.remove_graph(GraphId(0))
+    });
+    assert_eq!(n, 2, "one atomic mvcc.json write");
+}
 
-    let post_dir = scratch.path().join("post");
-    copy_tree(&pre, &post_dir);
-    let mut post = ShardedTaleDatabase::open(&post_dir, params().buffer_frames).unwrap();
-    post.remove_graph(GraphId(0)).unwrap();
-    let post_answers = answers(&post, &graphs);
-    drop(post);
+#[test]
+fn torture_sharded_fold() {
+    // A fold with real work in both shards' deltas and tombstones; a crash
+    // between the shards' flips is completed on open.
+    let scratch = tempfile::tempdir().unwrap();
+    let (pre, queries, fodder) = built_pre(scratch.path());
+    let db = ShardedTaleDatabase::open(&pre, params().buffer_frames).unwrap();
+    db.insert_graph("late", fodder.clone()).unwrap();
+    db.insert_graph("later", queries[2].clone()).unwrap();
+    db.remove_graph(GraphId(0)).unwrap();
+    db.remove_graph(GraphId(1)).unwrap();
+    drop(db);
+    let n = sweep(&pre, scratch.path(), &queries, |s| s.fold().map(|_| ()));
+    assert!(n >= 4, "suspiciously few fold fault points: {n}");
+}
 
-    let count_dir = scratch.path().join("count");
-    copy_tree(&pre, &count_dir);
-    let mut counted = ShardedTaleDatabase::open(&count_dir, params().buffer_frames).unwrap();
-    faults::arm_counting();
-    counted.remove_graph(GraphId(0)).unwrap();
-    let n = faults::disarm();
-    drop(counted);
-    assert!(n > 0, "removal made no gated I/O");
-
-    for i in 0..n {
-        let work = scratch.path().join(format!("fault-{i}"));
-        copy_tree(&pre, &work);
-        let mut sharded = ShardedTaleDatabase::open(&work, params().buffer_frames).unwrap();
-        faults::arm(i);
-        let res = sharded.remove_graph(GraphId(0));
-        drop(sharded);
-        faults::disarm();
-        assert!(res.is_err(), "fault {i} of {n} did not surface");
-
-        let (recovered, _) =
-            ShardedTaleDatabase::open_with_recovery(&work, params().buffer_frames).unwrap();
-        let got = answers(&recovered, &graphs);
-        let removed = recovered.index().is_removed(GraphId(0));
-        if removed {
-            assert_eq!(
-                got, post_answers,
-                "fault {i} of {n}: committed removal differs"
-            );
-        } else {
-            assert_eq!(
-                got, pre_answers,
-                "fault {i} of {n}: rolled-back removal differs"
-            );
-        }
-        drop(recovered);
-        std::fs::remove_dir_all(&work).unwrap();
-    }
+#[test]
+fn uncommitted_insert_rolls_graphs_json_back_on_open() {
+    // The one recovery rule, driven directly: a graphs.json that grew
+    // without the shards.json assignment growing is rolled back.
+    let scratch = tempfile::tempdir().unwrap();
+    let (pre, queries, fodder) = built_pre(scratch.path());
+    let frames = params().buffer_frames;
+    let want = observe(&ShardedTaleDatabase::open(&pre, frames).unwrap(), &queries);
+    let journal = tale::journal::MutationJournal::new(&pre);
+    let mut grown = tale_graph::io::load_json(&pre.join("graphs.json")).unwrap();
+    journal
+        .stage(
+            &pre.join("graphs.json"),
+            tale::journal::PendingMutation {
+                pre_generation: grown.len() as u64,
+            },
+        )
+        .unwrap();
+    grown.insert("phantom", fodder);
+    tale_graph::io::save_json(&grown, &pre.join("graphs.json")).unwrap();
+    let (db, rec) = ShardedTaleDatabase::open_with_recovery(&pre, frames).unwrap();
+    assert!(rec.journal_present && rec.db_rolled_back, "{rec:?}");
+    assert_eq!(observe(&db, &queries), want);
 }
 
 #[test]
@@ -239,7 +260,7 @@ fn partial_shard_failure_names_the_shard() {
     let sharded = ShardedTaleDatabase::build(db, dir.path(), &params(), 3, &HashPolicy).unwrap();
     drop(sharded);
     // destroy one shard's meta file; its siblings stay healthy
-    std::fs::remove_file(dir.path().join("shard-001").join("nh.meta.json")).unwrap();
+    std::fs::remove_file(dir.path().join("shard-001").join("mvcc.json")).unwrap();
     let err = match ShardedTaleDatabase::open(dir.path(), params().buffer_frames) {
         Ok(_) => panic!("open served a database with a destroyed shard"),
         Err(e) => e,
@@ -260,7 +281,7 @@ fn sharded_verify_attributes_bit_flips() {
     drop(sharded);
 
     // flip one payload byte in the middle of shard 0's B+-tree file
-    let bt = dir.path().join("shard-000").join("nh.btree");
+    let bt = dir.path().join("shard-000/gens/g0/nh.btree");
     let mut bytes = std::fs::read(&bt).unwrap();
     let victim = bytes.len() / 2;
     bytes[victim] ^= 0x40;

@@ -157,7 +157,7 @@ fn planned_identity_after_insert_and_remove_sharded() {
     let queries: Vec<&Graph> = originals.iter().collect();
     let dir = tempfile::tempdir().unwrap();
     ShardedTaleDatabase::build(db, dir.path(), &TaleParams::default(), 3, &HashPolicy).unwrap();
-    let mut sharded = ShardedTaleDatabase::open(dir.path(), 4096).unwrap();
+    let sharded = ShardedTaleDatabase::open(dir.path(), 4096).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(173);
     let mut g = Graph::new_undirected();
     for _ in 0..10 {

@@ -86,7 +86,7 @@ impl Page {
 
 /// FNV-1a 64-bit over the page id followed by the payload. Fast, good
 /// enough for torn-write detection (we are not defending against
-/// adversarial corruption; the WAL uses CRC-32 for its records).
+/// adversarial corruption; wire frames use CRC-32 instead).
 pub fn checksum(page_id: u64, data: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf29ce484222325;
     const PRIME: u64 = 0x100000001b3;

@@ -106,8 +106,7 @@ impl TaleDatabase {
     /// The multi-file journal reconciles `graphs.json` against the
     /// persisted logical mutation counter ([`crate::journal`]), then the
     /// generational index opens against the recovered graph store —
-    /// running the current generation's (always-empty) WAL recovery,
-    /// sweeping orphaned generation directories from unfinished folds,
+    /// sweeping orphaned generation directories from unfinished folds
     /// and re-deriving the in-memory delta overlay — so the pair can
     /// never be served out of sync.
     pub fn open_with_recovery(dir: &Path, buffer_frames: usize) -> Result<(Self, DbRecovery)> {
@@ -117,7 +116,7 @@ impl TaleDatabase {
         let db = tale_graph::io::load_json(&dir.join(DB_FILE))?;
         let (index, mvcc) = GenerationalNhIndex::open(dir, &db, buffer_frames)?;
         let report = DbRecovery {
-            index: mvcc.index,
+            generation: mvcc.generation,
             journal_present,
             db_rolled_back,
             generations_swept: mvcc.swept.len(),
@@ -159,7 +158,6 @@ impl TaleDatabase {
                 &dir.join(DB_FILE),
                 crate::journal::PendingMutation {
                     pre_generation: self.index.logical_generation(),
-                    shard: None,
                 },
             )?;
             tale_graph::io::save_json(&next, &dir.join(DB_FILE))?;

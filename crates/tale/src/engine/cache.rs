@@ -47,9 +47,8 @@
 //! its key and stays warm, which is the fix for the old
 //! "insert wholesale-clears the cache" bug (proven by the probe-counter
 //! test: a repeat query after an insert still answers with zero disk
-//! probes). [`ResultCache::evict_graph`] remains available for in-place
-//! removals on the sharded path: entries that never matched the removed
-//! graph stay exactly correct and resident.
+//! probes). Removals roll no epoch at all: the engine filters cached
+//! lists through the reader's tombstones at read time.
 //!
 //! [`cache_generation`]: tale_nhindex::IndexReader::cache_generation
 //!
@@ -289,23 +288,6 @@ impl ResultCache {
         let mut inner = self.inner.lock().expect("result cache poisoned");
         inner.map.clear();
         inner.invalidations += 1;
-    }
-
-    /// Drops only the entries whose stored partial list contains `graph` —
-    /// the remove-side invalidation. Removing a graph can only delete its
-    /// own matches, so an entry that never matched it is still exactly
-    /// correct and stays resident. Returns how many entries were evicted.
-    pub fn evict_graph(&self, graph: tale_graph::GraphId) -> usize {
-        let mut inner = self.inner.lock().expect("result cache poisoned");
-        let before = inner.map.len();
-        inner
-            .map
-            .retain(|_, e| e.results.iter().all(|m| m.graph != graph));
-        let evicted = before - inner.map.len();
-        if evicted > 0 {
-            inner.invalidations += 1;
-        }
-        evicted
     }
 
     /// Counter snapshot.

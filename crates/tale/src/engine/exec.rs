@@ -231,15 +231,14 @@ pub fn rank_matches(mut all: Vec<QueryMatch>, top_k: Option<usize>) -> Vec<Query
 /// Runs a batch of queries through the staged pipeline over one or more
 /// index readers. `shards` must be non-empty and every reader must cover a
 /// set of graphs disjoint from every other reader's, under one shared
-/// neighbor-array scheme — true both for the sharded path (one [`NhIndex`]
-/// per shard) and for the MVCC path (base generation + delta overlay as
-/// two readers). Pass `caches: None` to bypass the result cache entirely;
-/// otherwise provide exactly one cache per reader. Cache keys fold in each
-/// reader's [`cache_generation`](IndexReader::cache_generation), so a
-/// mutated reader's old entries are unreachable while untouched readers'
-/// entries keep hitting.
-///
-/// [`NhIndex`]: tale_nhindex::NhIndex
+/// neighbor-array scheme — true for every generational index (base
+/// generation + delta overlay as two readers), and for the sharded path,
+/// which passes that pair for every shard. Pass `caches: None` to bypass
+/// the result cache entirely; otherwise provide exactly one cache per
+/// reader. Cache keys fold in each reader's
+/// [`cache_generation`](IndexReader::cache_generation), so a mutated
+/// reader's old entries are unreachable while untouched readers' entries
+/// keep hitting.
 pub fn run_batch(
     db: &GraphDb,
     shards: &[&dyn IndexReader],
@@ -434,12 +433,12 @@ pub fn run_batch(
             .map(|o| o.expect("every shard visited"))
             .collect();
     } else {
-        let inner_threads = if nshards == 1 {
-            threads
-        } else {
-            (threads / nshards).max(1)
-        };
-        let outer_threads = threads.min(nshards).max(1);
+        // Split the budget over the readers with work: a reader whose
+        // uniques were all cached or infeasible-pruned finishes at once,
+        // and must not halve the threads of the one that does the probing.
+        let active = need.iter().filter(|n| !n.is_empty()).count().max(1);
+        let inner_threads = (threads / active).max(1);
+        let outer_threads = threads.min(active);
         let shard_runs: Vec<Result<ShardOutcome>> =
             tale_par::parallel_map(outer_threads, nshards, |s| {
                 exec_shard(

@@ -1,30 +1,30 @@
 //! Multi-file mutation journal.
 //!
-//! A persistent [`crate::TaleDatabase`] keeps two durable artifacts that
-//! must stay consistent: the graph store (`graphs.json`) and the NH-Index.
-//! Each is individually crash-safe (atomic rename; WAL), but a crash
-//! *between* their commit points could otherwise leave an index that
-//! references a graph the store lacks, or vice versa — a corrupted-but-
-//! served state no single-file mechanism can see.
+//! A persistent database keeps two durable artifacts that must stay
+//! consistent: the graph store (`graphs.json`) and the index manifest
+//! that records the insert — `mvcc.json`'s logical counter for
+//! [`crate::TaleDatabase`], the `shards.json` assignment for a sharded
+//! database. Each file is individually crash-safe (atomic rename), but a
+//! crash *between* their commit points could otherwise leave a graph
+//! store holding a graph the index never saw — a corrupted-but-served
+//! state no single-file mechanism can see.
 //!
 //! The journal closes that window. Before a graph insert touches anything
 //! durable it *stages*: the current `graphs.json` is copied to a fsynced
-//! backup and a `pending.json` marker recording the index's pre-mutation
-//! generation is atomically written. Then the new `graphs.json` is saved,
-//! the index mutation commits (the atomic manifest write bumping the
-//! logical counter for the generational index; a WAL transaction for the
-//! sharded in-place path), and the journal is cleared. Recovery on open
-//! keys off that generation counter — the *last* commit point in the
-//! sequence:
+//! backup and a `pending.json` marker recording the manifest's
+//! pre-mutation counter is atomically written. Then the new `graphs.json`
+//! is saved, the manifest write commits the insert, and the journal is
+//! cleared. Recovery on open keys off that counter — the *last* commit
+//! point in the sequence:
 //!
-//! * generation unchanged → the index mutation never committed (its WAL
-//!   already rolled the page files back); restore `graphs.json` from the
-//!   backup. Everything is bit-identical to the pre-insert state.
-//! * generation advanced → the index committed; the already-saved
+//! * counter unchanged → the manifest never committed; restore
+//!   `graphs.json` from the backup. Everything is bit-identical to the
+//!   pre-insert state.
+//! * counter advanced → the manifest committed; the already-saved
 //!   `graphs.json` is exactly the post-insert state. Discard the backup.
 //!
-//! Graph removals tombstone only the index and never touch `graphs.json`,
-//! so they need no journal. Clearing is crash-safe too: the marker is
+//! Graph removals tombstone only the index manifest and never touch
+//! `graphs.json`, so they need no journal. Clearing is crash-safe too: the marker is
 //! deleted before the backup, and a stale backup without a marker is
 //! swept harmlessly on the next open.
 
@@ -40,25 +40,19 @@ pub const DB_BACKUP_FILE: &str = "graphs.json.pre";
 /// Contents of the `pending.json` marker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PendingMutation {
-    /// Index generation observed *before* the mutation began — the
-    /// *logical* mutation counter for the generational single-index
-    /// database, the shard's in-place generation for sharded databases.
-    /// Recovery compares it to the reopened index's counter to decide
-    /// whether the mutation committed.
+    /// The manifest counter observed *before* the mutation began — the
+    /// *logical* mutation counter for the single-index database, the
+    /// `shards.json` assignment length for sharded databases. Recovery
+    /// compares it to the persisted counter to decide whether the
+    /// mutation committed.
     pub pre_generation: u64,
-    /// For sharded databases: the shard the mutation routed to (whose
-    /// generation `pre_generation` refers to). `None` for the single-index
-    /// database.
-    #[serde(default)]
-    pub shard: Option<u32>,
 }
 
 /// What [`crate::TaleDatabase::open_with_recovery`] found and repaired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DbRecovery {
-    /// The current generation's own WAL recovery outcome (always a no-op
-    /// transaction-wise — generations are immutable once built).
-    pub index: tale_nhindex::RecoveryReport,
+    /// The generation the index manifest names (the one opened).
+    pub generation: u64,
     /// A `pending.json` marker was present (a multi-file mutation was in
     /// flight at crash time).
     pub journal_present: bool,
@@ -92,9 +86,7 @@ impl MutationJournal {
 
     /// Stages a mutation: backs up `db_file` (fsynced) and atomically
     /// writes the marker. After this returns, a crash at any later point
-    /// is recoverable by [`MutationJournal::recover`] (or by the sharded
-    /// layer's own reconciliation built on [`MutationJournal::load`] /
-    /// [`MutationJournal::roll_back_db`]).
+    /// is recoverable by [`MutationJournal::recover`].
     pub fn stage(&self, db_file: &Path, marker: PendingMutation) -> Result<()> {
         std::fs::copy(db_file, self.backup())?;
         let f = std::fs::File::open(self.backup())?;
@@ -106,7 +98,7 @@ impl MutationJournal {
     }
 
     /// Reads the marker, if present.
-    pub fn load(&self) -> Result<Option<PendingMutation>> {
+    fn load(&self) -> Result<Option<PendingMutation>> {
         let marker = self.marker();
         if !marker.exists() {
             return Ok(None);
@@ -119,7 +111,7 @@ impl MutationJournal {
 
     /// Restores `db_file` from the staged backup (atomic rename). Returns
     /// whether a backup existed to restore.
-    pub fn roll_back_db(&self, db_file: &Path) -> Result<bool> {
+    fn roll_back_db(&self, db_file: &Path) -> Result<bool> {
         if !self.backup().exists() {
             return Ok(false);
         }
@@ -139,9 +131,10 @@ impl MutationJournal {
         Ok(())
     }
 
-    /// Repairs the directory after a crash. `post_generation` is the index
-    /// generation *after* its own WAL recovery ran. Returns whether a
-    /// journal was present and whether `graphs.json` was rolled back.
+    /// Repairs the directory after a crash. `post_generation` is the
+    /// persisted manifest counter (see [`PendingMutation`]). Returns
+    /// whether a journal was present and whether `graphs.json` was rolled
+    /// back.
     pub fn recover(&self, post_generation: u64) -> Result<(bool, bool)> {
         let Some(pending) = self.load()? else {
             // No mutation in flight; sweep a stale backup if the previous
@@ -179,16 +172,10 @@ mod tests {
         let db_file = d.path().join(crate::database::DB_FILE);
         std::fs::write(&db_file, b"old").unwrap();
         let j = MutationJournal::new(d.path());
-        j.stage(
-            &db_file,
-            PendingMutation {
-                pre_generation: 7,
-                shard: None,
-            },
-        )
-        .unwrap();
+        j.stage(&db_file, PendingMutation { pre_generation: 7 })
+            .unwrap();
         std::fs::write(&db_file, b"new").unwrap(); // the mutation's save
-                                                   // crash; index recovery left generation at 7 → roll back
+                                                   // crash before the manifest write: the counter is still 7 → roll back
         let (present, rolled) = j.recover(7).unwrap();
         assert!(present && rolled);
         assert_eq!(std::fs::read(&db_file).unwrap(), b"old");
@@ -202,14 +189,8 @@ mod tests {
         let db_file = d.path().join(crate::database::DB_FILE);
         std::fs::write(&db_file, b"old").unwrap();
         let j = MutationJournal::new(d.path());
-        j.stage(
-            &db_file,
-            PendingMutation {
-                pre_generation: 7,
-                shard: None,
-            },
-        )
-        .unwrap();
+        j.stage(&db_file, PendingMutation { pre_generation: 7 })
+            .unwrap();
         std::fs::write(&db_file, b"new").unwrap();
         // index committed (generation 8) → keep the new file
         let (present, rolled) = j.recover(8).unwrap();
