@@ -23,7 +23,8 @@ use crate::Scale;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tale::{QueryMatch, QueryOptions, TaleParams};
+use tale::shard::HashPolicy;
+use tale::{QueryMatch, QueryOptions, TaleDatabase, TaleParams};
 use tale_datasets::pin::PinCorpus;
 use tale_graph::Graph;
 use tale_server::chaos::ChaosProxy;
@@ -35,7 +36,6 @@ use tale_server::wire::{
 };
 use tale_server::worker::{serve, serve_shard, ServerHandle, Service, WorkerConfig};
 use tale_server::{Frontend, FrontendConfig, ReplicaConfig, ReplicaSet};
-use tale_shard::{HashPolicy, ShardedTaleDatabase};
 
 /// Schema version stamped into `BENCH_chaos.json`.
 pub const CHAOS_REPORT_SCHEMA_VERSION: u32 = 1;
@@ -187,7 +187,7 @@ pub fn run_chaos(
 
     let dir = tempfile::tempdir().expect("tempdir");
     let sharded =
-        ShardedTaleDatabase::build(corpus.db.clone(), dir.path(), &params, shards, &HashPolicy)
+        TaleDatabase::build_sharded(corpus.db.clone(), dir.path(), &params, shards, &HashPolicy)
             .expect("sharded build");
     let reference = sharded.query_batch(&queries, &opts).expect("local query");
 

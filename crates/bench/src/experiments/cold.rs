@@ -22,10 +22,10 @@
 
 use crate::{timed, Scale};
 use std::time::Duration;
+use tale::shard::HashPolicy;
 use tale::{QueryOptions, TaleDatabase, TaleParams};
 use tale_datasets::pin::PinCorpus;
 use tale_graph::Graph;
-use tale_shard::{HashPolicy, ShardedTaleDatabase};
 use tale_storage::PAGE_SIZE;
 
 /// Schema version stamped into `BENCH_cold.json`.
@@ -120,15 +120,21 @@ pub fn run_cold(seed: u64, scale: Scale, read_latency_us: u64) -> ColdReport {
     let latency = Duration::from_micros(read_latency_us);
 
     // Build both layouts once; every measured pass reopens from disk.
-    let single_dir = tempfile::tempdir().expect("tempdir");
-    let built =
-        TaleDatabase::build(corpus.db.clone(), single_dir.path(), &params).expect("index build");
-    let index_bytes = built.index_size_bytes();
+    let build = |nshards: usize| {
+        let dir = tempfile::tempdir().expect("tempdir");
+        let built = TaleDatabase::build_sharded(
+            corpus.db.clone(),
+            dir.path(),
+            &params,
+            nshards,
+            &HashPolicy,
+        )
+        .expect("index build");
+        (dir, built.index_size_bytes())
+    };
+    let (single_dir, index_bytes) = build(1);
+    let (shard_dir, _) = build(4);
     let index_pages = (index_bytes as usize).div_ceil(PAGE_SIZE).max(1);
-    drop(built);
-    let shard_dir = tempfile::tempdir().expect("tempdir");
-    ShardedTaleDatabase::build(corpus.db.clone(), shard_dir.path(), &params, 4, &HashPolicy)
-        .expect("sharded build");
 
     // Reference: unbounded pool, serial, no simulated latency.
     let reference = {
@@ -137,39 +143,9 @@ pub fn run_cold(seed: u64, scale: Scale, read_latency_us: u64) -> ColdReport {
         db.query_batch(&queries, &opts).expect("reference query")
     };
 
-    let mut rows: Vec<ColdCell> = Vec::new();
-    for &frac in DEFAULT_POOL_FRACTIONS {
-        let pool_pages = ((index_pages as f64 * frac) as usize).max(8);
-        for &threads in &[1usize, 4] {
-            let db = TaleDatabase::open(single_dir.path(), pool_pages).expect("cold open");
-            db.index().simulate_read_latency(latency);
-            let opts = QueryOptions::bind().with_cache(false).with_threads(threads);
-            let (results, query_secs) =
-                timed(|| db.query_batch(&queries, &opts).expect("cold query"));
-            let pool = db.index().pool_stats();
-            let pf = db.index().prefetch_stats();
-            rows.push(ColdCell {
-                pool_frac: frac,
-                pool_pages,
-                threads,
-                sharded: false,
-                query_secs,
-                pool_hits: pool.hits,
-                pool_coalesced: pool.coalesced,
-                pool_misses: pool.misses,
-                pool_prefetched: pool.prefetched,
-                prefetch_issued: pf.issued,
-                prefetch_used: pf.used,
-                identical: super::speedup::identical(&reference, &results),
-            });
-        }
-    }
-
-    // Sharded cells: the 10% pool again, scatter/gather over 4 shards
-    // that share one I/O worker pool.
-    let pool_pages = ((index_pages as f64 * 0.10) as usize).max(8);
-    for &threads in &[1usize, 4] {
-        let db = ShardedTaleDatabase::open(shard_dir.path(), pool_pages).expect("cold open");
+    // One cold pass: reopen, apply the read latency, run the batch.
+    let cell = |dir: &std::path::Path, frac: f64, pool_pages: usize, threads: usize| {
+        let db = TaleDatabase::open(dir, pool_pages).expect("cold open");
         for sh in db.index().shards() {
             sh.simulate_read_latency(latency);
         }
@@ -177,11 +153,11 @@ pub fn run_cold(seed: u64, scale: Scale, read_latency_us: u64) -> ColdReport {
         let (results, query_secs) = timed(|| db.query_batch(&queries, &opts).expect("cold query"));
         let pool = db.index().pool_stats();
         let pf = db.index().prefetch_stats();
-        rows.push(ColdCell {
-            pool_frac: 0.10,
+        ColdCell {
+            pool_frac: frac,
             pool_pages,
             threads,
-            sharded: true,
+            sharded: db.index().shard_count() > 1,
             query_secs,
             pool_hits: pool.hits,
             pool_coalesced: pool.coalesced,
@@ -190,7 +166,20 @@ pub fn run_cold(seed: u64, scale: Scale, read_latency_us: u64) -> ColdReport {
             prefetch_issued: pf.issued,
             prefetch_used: pf.used,
             identical: super::speedup::identical(&reference, &results),
-        });
+        }
+    };
+    let mut rows: Vec<ColdCell> = Vec::new();
+    for &frac in DEFAULT_POOL_FRACTIONS {
+        let pool_pages = ((index_pages as f64 * frac) as usize).max(8);
+        for &threads in &[1usize, 4] {
+            rows.push(cell(single_dir.path(), frac, pool_pages, threads));
+        }
+    }
+    // Sharded cells: the 10% pool again, scatter/gather over 4 shards
+    // that share one I/O worker pool.
+    let pool_pages = ((index_pages as f64 * 0.10) as usize).max(8);
+    for &threads in &[1usize, 4] {
+        rows.push(cell(shard_dir.path(), 0.10, pool_pages, threads));
     }
 
     let secs_of = |threads: usize| {

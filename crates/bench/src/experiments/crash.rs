@@ -11,21 +11,19 @@
 //! states. A recovery that matches neither — a corrupted-but-served state
 //! — fails the row.
 //!
-//! Sweeps cover the generational single index (`insert_graph`: the
-//! `mvcc.json` logical bump; `remove_graph`: the tombstone write; `fold`:
-//! a generation build plus the manifest flip), the in-process sharded
-//! database (insert: journal + `graphs.json` + the `shards.json`
-//! assignment commit; remove; fold of every shard) and the served shard
-//! engine (the same three on a one-shard deployment). Only built with
+//! Sweeps cover the in-process database at one shard and at two (insert:
+//! journal + `graphs.json` + the `shards.json` assignment commit; remove:
+//! one shard's `mvcc.json` tombstone write; fold: every shard's
+//! generation build plus its manifest flip) and the served shard engine
+//! (the same three on a one-shard deployment). Only built with
 //! `--features failpoints`.
 
 use std::path::Path;
+use tale::shard::HashPolicy;
 use tale::{QueryOptions, TaleDatabase, TaleParams};
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
-use tale_nhindex::GenerationalNhIndex;
 use tale_server::engine::{EngineConfig, ShardEngine};
 use tale_server::wire::{FoldRequest, InsertRequest, RemoveRequest, WireGraph};
-use tale_shard::{HashPolicy, ShardedTaleDatabase};
 use tale_storage::faults;
 
 /// One mutation kind's sweep outcome.
@@ -162,38 +160,36 @@ fn sweep<H>(
     row
 }
 
-/// A reopened database of any layout under test.
+/// A reopened database under test: in process, or behind the served
+/// shard engine.
 enum Handle {
-    Single(TaleDatabase),
-    Sharded(ShardedTaleDatabase),
+    Local(TaleDatabase),
     Served(ShardEngine),
 }
 
 impl Handle {
-    fn open(kind: &str, dir: &Path) -> Option<Handle> {
+    fn open(served: bool, dir: &Path) -> Option<Handle> {
         let frames = params().buffer_frames;
-        match kind {
-            "index" => TaleDatabase::open(dir, frames).ok().map(Handle::Single),
-            "sharded" => ShardedTaleDatabase::open(dir, frames)
-                .ok()
-                .map(Handle::Sharded),
-            _ => ShardEngine::open(
-                dir,
-                0,
-                EngineConfig {
-                    buffer_frames: frames,
-                    ..EngineConfig::default()
-                },
-            )
-            .ok()
-            .map(Handle::Served),
+        if !served {
+            return TaleDatabase::open(dir, frames).ok().map(Handle::Local);
+        }
+        let cfg = EngineConfig {
+            buffer_frames: frames,
+            ..EngineConfig::default()
+        };
+        ShardEngine::open(dir, 0, cfg).ok().map(Handle::Served)
+    }
+
+    fn database(&self) -> &TaleDatabase {
+        match self {
+            Handle::Local(d) => d,
+            Handle::Served(e) => e.database(),
         }
     }
 
     fn insert(&self, g: &Graph) -> bool {
         match self {
-            Handle::Single(d) => d.insert_graph("late", g.clone()).is_ok(),
-            Handle::Sharded(d) => d.insert_graph("late", g.clone()).is_ok(),
+            Handle::Local(d) => d.insert_graph("late", g.clone()).is_ok(),
             Handle::Served(e) => e
                 .insert(&InsertRequest {
                     name: "late".into(),
@@ -205,46 +201,32 @@ impl Handle {
 
     fn remove(&self, gid: GraphId) -> bool {
         match self {
-            Handle::Single(d) => d.remove_graph(gid).is_ok(),
-            Handle::Sharded(d) => d.remove_graph(gid).is_ok(),
+            Handle::Local(d) => d.remove_graph(gid).is_ok(),
             Handle::Served(e) => e.remove(&RemoveRequest { graph: gid.0 }).is_ok(),
         }
     }
 
     fn fold(&self) -> bool {
         match self {
-            Handle::Single(d) => d.fold().is_ok(),
-            Handle::Sharded(d) => d.fold().is_ok(),
+            Handle::Local(d) => d.fold().is_ok(),
             Handle::Served(e) => e.fold(&FoldRequest { confirm: true }).is_ok(),
         }
     }
 
-    /// Query answers plus (graph count, then per index: current
-    /// generation, tombstone count) after a deep integrity check.
+    /// Query answers plus (per shard: current generation, tombstone
+    /// count, then the graph count) after a deep integrity check.
     fn observe(&self, queries: &[Graph]) -> Observed {
-        let indexes: Vec<&GenerationalNhIndex> = match self {
-            Handle::Single(d) => vec![d.index()],
-            Handle::Sharded(d) => d.index().shards().iter().collect(),
-            Handle::Served(e) => e.database().index().shards().iter().collect(),
-        };
+        let d = self.database();
         let mut marks = Vec::new();
-        for idx in indexes {
+        for idx in d.index().shards() {
             if !idx.verify().is_ok_and(|r| r.is_ok()) {
                 return None;
             }
             let snap = idx.snapshot();
             marks.extend([snap.base_generation(), snap.removed_count() as u64]);
         }
-        let (len, answers) = match self {
-            Handle::Single(d) => (d.db().len(), answers(queries, |q| d.query(q, &opts()).ok())),
-            Handle::Sharded(d) => (d.db().len(), answers(queries, |q| d.query(q, &opts()).ok())),
-            Handle::Served(e) => {
-                let d = e.database();
-                (d.db().len(), answers(queries, |q| d.query(q, &opts()).ok()))
-            }
-        };
-        marks.push(len as u64);
-        Some((answers?, marks))
+        marks.push(d.db().len() as u64);
+        Some((answers(queries, |q| d.query(q, &opts()).ok())?, marks))
     }
 }
 
@@ -265,38 +247,31 @@ fn answers(
 }
 
 /// Runs the full crash-safety sweep — insert, remove and fold of the
-/// generational single index (`TaleDatabase`), the 2-shard in-process
-/// database, and the served shard engine on a one-shard deployment.
-/// Returns one row per mutation; `identical` must be true on every row.
+/// in-process database at one shard and at two, and of the served shard
+/// engine on a one-shard deployment. Returns one row per mutation;
+/// `identical` must be true on every row.
 pub fn run_crash() -> Vec<CrashRow> {
     let (db, graphs, fodder) = corpus();
     let mut queries = graphs.clone();
     queries.push(fodder.clone());
     let mut rows = Vec::new();
-    for (kind, commit) in [
-        ("index", "journal + mvcc.json"),
-        ("sharded", "journal + shards.json"),
-        ("served engine", "journal + shards.json"),
+    for (kind, nshards, served) in [
+        ("1 shard", 1, false),
+        ("2 shards", 2, false),
+        ("served engine", 1, true),
     ] {
         let scratch = tempfile::tempdir().unwrap();
         let pre = scratch.path().join("pre");
         let dir = pre.as_path();
-        match kind {
-            "index" => drop(TaleDatabase::build(db.clone(), dir, &params()).unwrap()),
-            _ => {
-                let nshards = if kind == "sharded" { 2 } else { 1 };
-                drop(
-                    ShardedTaleDatabase::build(db.clone(), dir, &params(), nshards, &HashPolicy)
-                        .unwrap(),
-                )
-            }
-        }
-        let open = |d: &Path| Handle::open(kind, d);
+        drop(
+            TaleDatabase::build_sharded(db.clone(), dir, &params(), nshards, &HashPolicy).unwrap(),
+        );
+        let open = |d: &Path| Handle::open(served, d);
         let observe = |h: &Handle| h.observe(&queries);
         rows.push(sweep(
             dir,
             scratch.path(),
-            &format!("{kind} insert ({commit})"),
+            &format!("{kind} insert (journal + shards.json)"),
             open,
             |h| h.insert(&fodder),
             observe,

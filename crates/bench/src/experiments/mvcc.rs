@@ -139,7 +139,7 @@ pub fn run_mvcc(seed: u64, scale: Scale, threads: usize) -> MvccReport {
             pass += 1;
         }
         let (report, secs) = handle.join().expect("fold thread");
-        assert_eq!(report.folded_inserts as usize, delta_graphs);
+        assert_eq!(report[0].folded_inserts as usize, delta_graphs);
         fold_secs = secs;
     });
 

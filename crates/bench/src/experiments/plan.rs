@@ -24,9 +24,9 @@ use crate::{timed, Scale};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tale::{PlanMode, QueryOptions, TaleParams};
+use tale::shard::LabelClusteredPolicy;
+use tale::{PlanMode, QueryOptions, TaleDatabase, TaleParams};
 use tale_graph::{Graph, GraphDb};
-use tale_shard::{LabelClusteredPolicy, ShardedTaleDatabase};
 
 /// Schema version stamped into `BENCH_plan.json`.
 pub const PLAN_REPORT_SCHEMA_VERSION: u32 = 1;
@@ -179,7 +179,7 @@ pub fn run_plan(seed: u64, scale: Scale, threads: usize, nshards: usize) -> Plan
     let query_refs: Vec<&Graph> = queries.iter().collect();
 
     let dir = tempfile::tempdir().expect("tempdir");
-    let (sharded, _build) = ShardedTaleDatabase::build_with_stats(
+    let (sharded, _build) = TaleDatabase::build_with_stats(
         db,
         dir.path(),
         &TaleParams::bind(),

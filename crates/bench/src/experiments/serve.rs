@@ -13,7 +13,7 @@
 //! judged on — p50/p99/max latency, achieved vs offered QPS, how many
 //! requests were explicitly shed — plus the correctness anchor: the full
 //! query workload run once through the served path must be bit-identical
-//! to the in-process [`ShardedTaleDatabase`] answers. The server-side
+//! to the in-process [`TaleDatabase`] answers. The server-side
 //! counter blocks (frontend and every worker) are fetched over the
 //! `stats` endpoint itself, so the observability path is exercised too.
 
@@ -23,7 +23,8 @@ use rand_chacha::ChaCha8Rng;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tale::{QueryMatch, QueryOptions, TaleParams};
+use tale::shard::HashPolicy;
+use tale::{QueryMatch, QueryOptions, TaleDatabase, TaleParams};
 use tale_datasets::pin::PinCorpus;
 use tale_graph::{Graph, GraphDb};
 use tale_server::counters::ServerStatsSnapshot;
@@ -34,7 +35,6 @@ use tale_server::wire::{
 };
 use tale_server::worker::{serve, serve_shard, ServerHandle, Service, WorkerConfig};
 use tale_server::{Frontend, FrontendConfig};
-use tale_shard::{HashPolicy, ShardedTaleDatabase};
 
 /// Schema version stamped into `BENCH_serve.json`.
 pub const SERVE_REPORT_SCHEMA_VERSION: u32 = 1;
@@ -168,7 +168,7 @@ pub fn run_serve(
     // frontend over remote transports, everything on loopback TCP.
     let dir = tempfile::tempdir().expect("tempdir");
     let sharded =
-        ShardedTaleDatabase::build(corpus.db.clone(), dir.path(), &params, shards, &HashPolicy)
+        TaleDatabase::build_sharded(corpus.db.clone(), dir.path(), &params, shards, &HashPolicy)
             .expect("sharded build");
     let reference = sharded.query_batch(&queries, &opts).expect("local query");
 

@@ -13,10 +13,10 @@
 //! many shards are asked for.
 
 use crate::{timed, Scale};
+use tale::shard::HashPolicy;
 use tale::{QueryOptions, TaleDatabase, TaleParams};
 use tale_datasets::pin::PinCorpus;
 use tale_graph::Graph;
-use tale_shard::{HashPolicy, ShardedTaleDatabase};
 
 /// Schema version stamped into `BENCH_shard.json`.
 pub const SHARD_REPORT_SCHEMA_VERSION: u32 = 1;
@@ -112,7 +112,7 @@ pub fn run_shard(seed: u64, scale: Scale, threads: usize, shard_counts: &[usize]
             for _ in 0..ROUNDS {
                 let dir = tempfile::tempdir().expect("tempdir");
                 let (out, secs) = timed(|| {
-                    ShardedTaleDatabase::build_with_stats(
+                    TaleDatabase::build_with_stats(
                         corpus.db.clone(),
                         dir.path(),
                         &params,

@@ -12,9 +12,9 @@
 //!   delta's *contents* are re-derived from the graph database on open —
 //!   the owned graphs with ids `>= base_len` are by construction the
 //!   not-yet-folded ones.
-//! * An index **owns** a set of graphs: every graph of the database for
-//!   the single-index database, the graphs `shards.json` assigns to it
-//!   for one shard of a sharded index. The owner passes that set to
+//! * An index **owns** a set of graphs: the graphs the database's
+//!   `shards.json` assigns to its shard (every graph when the database
+//!   has one shard). The owner passes that set to
 //!   [`build_owned`](GenerationalNhIndex::build_owned) and
 //!   [`open_owned`](GenerationalNhIndex::open_owned); folds keep covering
 //!   exactly the owned graphs.
@@ -42,9 +42,10 @@
 //! No page of a generation is ever rewritten, so there is nothing to log
 //! or roll back. The manifest is written with
 //! [`tale_storage::atomic::write_atomic`] — the same gated commit point
-//! the crash-torture harness drives. A mutation's only durable step *is*
-//! the manifest write (`graphs.json` durability is the caller's job,
-//! sequenced by its mutation journal), so a crash mid-fold leaves either
+//! the crash-torture harness drives. A removal's or a fold's only durable
+//! step *is* the manifest write; an insert writes nothing here (its owner
+//! commits it, sequenced by its mutation journal), so a crash mid-fold
+//! leaves either
 //! the old manifest (generation `N`, delta re-derived on open) or the new
 //! one (generation `N+1`, empty delta) — never a hybrid. Orphaned
 //! generation directories from unfinished folds are swept on open.
@@ -83,7 +84,8 @@ use std::sync::{Arc, Weak};
 use tale_graph::{GraphDb, GraphId};
 use tale_storage::IoPool;
 
-const MVCC_FILE: &str = "mvcc.json";
+/// The MVCC manifest's file name inside an index directory.
+pub const MVCC_FILE: &str = "mvcc.json";
 const GENS_DIR: &str = "gens";
 const SCHEMA_VERSION: u32 = 1;
 
@@ -94,10 +96,6 @@ struct MvccManifest {
     schema_version: u32,
     /// Number of the current on-disk generation (`gens/g{current}`).
     current: u64,
-    /// Logical mutation counter: bumped by every committed insert/remove,
-    /// unchanged by a fold (a fold changes representation, not contents).
-    /// The mutation journal records it as the pre-mutation generation.
-    logical: u64,
     /// Owned graphs with ids `< base_len` are covered by the on-disk
     /// generation; owned graphs with ids `>= base_len` are the delta
     /// (re-derived on open).
@@ -150,7 +148,6 @@ struct MvccState {
     base_graphs: Arc<Vec<GraphId>>,
     delta: Arc<DeltaOverlay>,
     removed: Arc<HashSet<u32>>,
-    logical: u64,
     base_len: u32,
     base_epoch: u64,
     delta_epoch: u64,
@@ -179,11 +176,6 @@ impl Snapshot {
     /// The pinned base generation number.
     pub fn base_generation(&self) -> u64 {
         self.state.base.number
-    }
-
-    /// The pinned logical mutation counter.
-    pub fn logical(&self) -> u64 {
-        self.state.logical
     }
 
     /// True when `graph` is tombstoned in this snapshot.
@@ -364,7 +356,7 @@ impl IndexReader for DeltaReader<'_> {
     }
 }
 
-/// What [`GenerationalNhIndex::open`] found and did.
+/// What [`GenerationalNhIndex::open_owned`] found and did.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct MvccRecovery {
     /// The generation the manifest names (the one opened).
@@ -470,14 +462,6 @@ impl GenerationalNhIndex {
         Ok(m)
     }
 
-    /// Builds generation 0 for every graph of `db` into `dir` and commits
-    /// the initial manifest, with a read path of `config.io_workers`
-    /// workers (see [`GenerationalNhIndex::build_owned`]).
-    pub fn build(dir: &Path, db: &GraphDb, config: &NhIndexConfig) -> Result<Self> {
-        let io = SharedIo::new(config.io_workers, config.prefetch_pages);
-        Self::build_owned(dir, db, config, all_graphs(db), io)
-    }
-
     /// Builds generation 0 over the `owned` graphs of `db` (ascending
     /// ids) into `dir` and commits the initial manifest. Any `gens/`
     /// leftovers from a previous index in this directory are cleared first
@@ -506,7 +490,6 @@ impl GenerationalNhIndex {
             &MvccManifest {
                 schema_version: SCHEMA_VERSION,
                 current: 0,
-                logical: 0,
                 base_len,
                 removed: Vec::new(),
             },
@@ -521,7 +504,6 @@ impl GenerationalNhIndex {
             owned,
             delta,
             HashSet::new(),
-            0,
             base_len,
         ))
     }
@@ -536,7 +518,6 @@ impl GenerationalNhIndex {
         base_graphs: Vec<GraphId>,
         delta: DeltaOverlay,
         removed: HashSet<u32>,
-        logical: u64,
         base_len: u32,
     ) -> Self {
         let state = Arc::new(MvccState {
@@ -549,7 +530,6 @@ impl GenerationalNhIndex {
             base_graphs: Arc::new(base_graphs),
             delta: Arc::new(delta),
             removed: Arc::new(removed),
-            logical,
             base_len,
             base_epoch: 0,
             delta_epoch: 1,
@@ -564,20 +544,6 @@ impl GenerationalNhIndex {
             states: Mutex::new(states),
             epoch_source: AtomicU64::new(2),
         }
-    }
-
-    /// Reads the persisted logical mutation counter without opening the
-    /// index — the mutation journal compares it against a pending
-    /// mutation's pre-generation to decide rollback.
-    pub fn peek_logical(dir: &Path) -> Result<u64> {
-        Ok(Self::read_manifest(dir)?.logical)
-    }
-
-    /// Reopens an index owning every graph of `db`, with a read path of
-    /// the default size (see [`GenerationalNhIndex::open_owned`]).
-    pub fn open(dir: &Path, db: &GraphDb, buffer_frames: usize) -> Result<(Self, MvccRecovery)> {
-        let io = SharedIo::new(crate::DEFAULT_IO_WORKERS, crate::DEFAULT_PREFETCH_PAGES);
-        Self::open_owned(dir, db, &all_graphs(db), buffer_frames, io)
     }
 
     /// Reopens the index: loads the manifest, opens the current
@@ -650,7 +616,6 @@ impl GenerationalNhIndex {
             owned[..split].to_vec(),
             delta,
             manifest.removed.into_iter().collect(),
-            manifest.logical,
             manifest.base_len,
         );
         Ok((
@@ -682,25 +647,14 @@ impl GenerationalNhIndex {
         self.epoch_source.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Records the insertion of graph `gid` (already inserted into `db`
-    /// by the caller). Publishes a fresh delta overlay covering every
+    /// Records the insertion of owned graph `gid` (already inserted into
+    /// `db` by the caller). Publishes a fresh delta overlay covering every
     /// unfolded owned graph; the on-disk generation and the base cache
     /// epoch are untouched, so in-flight readers and base-derived cache
-    /// entries are completely unaffected. The manifest write (bumping the
-    /// logical counter) is the commit point.
-    pub fn insert_graph(&self, db: &GraphDb, gid: GraphId) -> Result<()> {
-        self.insert(db, gid, true)
-    }
-
-    /// [`insert_graph`](GenerationalNhIndex::insert_graph) without the
-    /// manifest write: for an owner whose own manifest commits the insert
-    /// (a shard of a sharded index commits by its `shards.json`
-    /// assignment, and the delta is re-derived from that on open).
+    /// entries are completely unaffected. Nothing is written: the owner's
+    /// own manifest commits the insert (the database's `shards.json`
+    /// assignment), and open re-derives the delta from it.
     pub fn extend_delta(&self, db: &GraphDb, gid: GraphId) -> Result<()> {
-        self.insert(db, gid, false)
-    }
-
-    fn insert(&self, db: &GraphDb, gid: GraphId, persist: bool) -> Result<()> {
         let _w = self.writer.lock();
         db.try_graph(gid)?;
         let state = self.state.read().clone();
@@ -718,18 +672,6 @@ impl GenerationalNhIndex {
             state.base.index.edge_labels(),
             graphs,
         )?;
-        if persist {
-            Self::write_manifest(
-                &self.dir,
-                &MvccManifest {
-                    schema_version: SCHEMA_VERSION,
-                    current: state.base.number,
-                    logical: state.logical + 1,
-                    base_len: state.base_len,
-                    removed: sorted(&state.removed),
-                },
-            )?;
-        }
         self.publish(
             state.base.number,
             MvccState {
@@ -737,7 +679,6 @@ impl GenerationalNhIndex {
                 base_graphs: Arc::clone(&state.base_graphs),
                 delta: Arc::new(delta),
                 removed: Arc::clone(&state.removed),
-                logical: state.logical + u64::from(persist),
                 base_len: state.base_len,
                 base_epoch: state.base_epoch,
                 delta_epoch: self.next_epoch(),
@@ -763,7 +704,6 @@ impl GenerationalNhIndex {
             &MvccManifest {
                 schema_version: SCHEMA_VERSION,
                 current: state.base.number,
-                logical: state.logical + 1,
                 base_len: state.base_len,
                 removed: sorted(&removed),
             },
@@ -775,7 +715,6 @@ impl GenerationalNhIndex {
                 base_graphs: Arc::clone(&state.base_graphs),
                 delta: Arc::clone(&state.delta),
                 removed: Arc::new(removed),
-                logical: state.logical + 1,
                 base_len: state.base_len,
                 base_epoch: state.base_epoch,
                 delta_epoch: state.delta_epoch,
@@ -799,8 +738,7 @@ impl GenerationalNhIndex {
     /// database without the dead graphs) retires tombstones.
     ///
     /// Readers are never blocked: they keep resolving against whatever
-    /// state they pinned. The logical counter is unchanged — a fold
-    /// changes representation, not logical contents.
+    /// state they pinned.
     pub fn fold(&self, db: &GraphDb) -> Result<FoldReport> {
         let _w = self.writer.lock();
         let state = self.state.read().clone();
@@ -843,7 +781,6 @@ impl GenerationalNhIndex {
             &MvccManifest {
                 schema_version: SCHEMA_VERSION,
                 current: new_number,
-                logical: state.logical,
                 base_len: n,
                 removed: sorted(&state.removed),
             },
@@ -863,18 +800,12 @@ impl GenerationalNhIndex {
                 base_graphs: Arc::new(covered),
                 delta: Arc::new(delta),
                 removed: Arc::clone(&state.removed),
-                logical: state.logical,
                 base_len: n,
                 base_epoch: self.next_epoch(),
                 delta_epoch: self.next_epoch(),
             },
         );
         Ok(report)
-    }
-
-    /// The logical mutation counter (journal commit point).
-    pub fn logical_generation(&self) -> u64 {
-        self.state.read().logical
     }
 
     /// The current on-disk generation number.
@@ -893,7 +824,7 @@ impl GenerationalNhIndex {
     }
 
     /// The build configuration (reconstructed from the generation's meta
-    /// file after [`GenerationalNhIndex::open`]).
+    /// file after [`GenerationalNhIndex::open_owned`]).
     pub fn config(&self) -> &NhIndexConfig {
         &self.config
     }
@@ -998,10 +929,6 @@ impl GenerationalNhIndex {
     }
 }
 
-fn all_graphs(db: &GraphDb) -> Vec<GraphId> {
-    (0..db.len() as u32).map(GraphId).collect()
-}
-
 fn sorted(set: &HashSet<u32>) -> Vec<u32> {
     let mut v: Vec<u32> = set.iter().copied().collect();
     v.sort_unstable();
@@ -1023,6 +950,20 @@ mod tests {
         }
     }
 
+    fn all(db: &GraphDb) -> Vec<GraphId> {
+        (0..db.len() as u32).map(GraphId).collect()
+    }
+
+    /// Generation 0 owning every graph of `db`.
+    fn build(dir: &Path, db: &GraphDb) -> GenerationalNhIndex {
+        GenerationalNhIndex::build_owned(dir, db, &cfg(), all(db), None).unwrap()
+    }
+
+    /// Reopens an index owning every graph of `db`.
+    fn open(dir: &Path, db: &GraphDb) -> (GenerationalNhIndex, MvccRecovery) {
+        GenerationalNhIndex::open_owned(dir, db, &all(db), 64, None).unwrap()
+    }
+
     fn chain(db: &mut GraphDb, labels: &[&str]) -> GraphId {
         let ids: Vec<_> = labels.iter().map(|l| db.intern_node_label(l)).collect();
         let mut g = Graph::new_undirected();
@@ -1040,25 +981,21 @@ mod tests {
         let mut db = GraphDb::new();
         chain(&mut db, &["A", "B", "C"]);
         chain(&mut db, &["B", "C", "A"]);
-        let idx = GenerationalNhIndex::build(dir.path(), &db, &cfg()).unwrap();
+        let idx = build(dir.path(), &db);
         assert_eq!(idx.current_generation(), 0);
-        assert_eq!(idx.logical_generation(), 0);
 
         let gid = chain(&mut db, &["C", "A", "B"]);
-        idx.insert_graph(&db, gid).unwrap();
-        assert_eq!(idx.logical_generation(), 1);
+        idx.extend_delta(&db, gid).unwrap();
         assert_eq!(idx.snapshot().delta_graphs(), 1);
 
         let report = idx.fold(&db).unwrap();
         assert_eq!(report.new_generation, 1);
         assert_eq!(report.folded_inserts, 1);
         assert_eq!(idx.snapshot().delta_graphs(), 0);
-        assert_eq!(idx.logical_generation(), 1);
         drop(idx);
 
-        let (idx, rec) = GenerationalNhIndex::open(dir.path(), &db, 64).unwrap();
+        let (idx, rec) = open(dir.path(), &db);
         assert_eq!(idx.current_generation(), 1);
-        assert_eq!(idx.logical_generation(), 1);
         assert!(
             rec.swept.is_empty(),
             "GC already removed g0: {:?}",
@@ -1072,12 +1009,12 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let mut db = GraphDb::new();
         chain(&mut db, &["A", "B"]);
-        let idx = GenerationalNhIndex::build(dir.path(), &db, &cfg()).unwrap();
+        let idx = build(dir.path(), &db);
         let pinned = idx.snapshot();
         let g0_dir = pinned.base().dir().to_owned();
 
         let gid = chain(&mut db, &["B", "A"]);
-        idx.insert_graph(&db, gid).unwrap();
+        idx.extend_delta(&db, gid).unwrap();
         idx.fold(&db).unwrap();
 
         // The pinned snapshot still reads generation 0 and its files are
@@ -1103,7 +1040,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let mut db = GraphDb::new();
         chain(&mut db, &["A", "B"]);
-        let idx = GenerationalNhIndex::build(dir.path(), &db, &cfg()).unwrap();
+        let idx = build(dir.path(), &db);
         let s0 = idx.snapshot();
         let (b0, d0) = (
             s0.base_reader().cache_generation(),
@@ -1111,7 +1048,7 @@ mod tests {
         );
 
         let gid = chain(&mut db, &["B", "A"]);
-        idx.insert_graph(&db, gid).unwrap();
+        idx.extend_delta(&db, gid).unwrap();
         let s1 = idx.snapshot();
         assert_eq!(
             s1.base_reader().cache_generation(),
@@ -1161,7 +1098,7 @@ mod tests {
         let mut db = GraphDb::new();
         let g0 = chain(&mut db, &["A", "B", "C"]);
         chain(&mut db, &["A", "B", "C"]);
-        let idx = GenerationalNhIndex::build(dir.path(), &db, &cfg()).unwrap();
+        let idx = build(dir.path(), &db);
 
         let g = db.graph(g0);
         let label_of = |n: tale_graph::NodeId| db.effective_label(g0, n);
@@ -1188,7 +1125,7 @@ mod tests {
 
         // Reopen sees the persisted tombstone too.
         drop(idx);
-        let (idx, _) = GenerationalNhIndex::open(dir.path(), &db, 64).unwrap();
+        let (idx, _) = open(dir.path(), &db);
         assert_eq!(idx.snapshot().removed_count(), 1);
         assert!(idx.is_removed(g0));
     }
@@ -1199,7 +1136,7 @@ mod tests {
         let mut db = GraphDb::new();
         let g0 = chain(&mut db, &["A", "B", "C"]);
         chain(&mut db, &["A", "B", "C"]);
-        let idx = GenerationalNhIndex::build(dir.path(), &db, &cfg()).unwrap();
+        let idx = build(dir.path(), &db);
         let pinned = idx.snapshot();
 
         let g = db.graph(g0);
@@ -1231,26 +1168,26 @@ mod tests {
 
     #[test]
     fn crash_between_db_save_and_manifest_reopens_consistently() {
-        // Simulate "insert saved graphs.json but the manifest write never
-        // happened": on reopen with the *pre-insert* logical counter, the
-        // delta is simply re-derived from whatever db the caller passes —
-        // with the rolled-back db the new graph doesn't exist.
+        // Simulate "insert saved graphs.json but the owner never committed
+        // it": the delta is simply re-derived from whatever db and owned
+        // set the caller passes — with the rolled-back db the new graph
+        // doesn't exist.
         let dir = tempfile::tempdir().unwrap();
         let mut db = GraphDb::new();
         chain(&mut db, &["A", "B"]);
-        let idx = GenerationalNhIndex::build(dir.path(), &db, &cfg()).unwrap();
+        let idx = build(dir.path(), &db);
         drop(idx);
 
-        // db grew but the manifest never saw the insert (logical still 0)
+        // db grew past the manifest's base_len
         let mut grown = db.clone();
         chain(&mut grown, &["B", "A"]);
-        let (idx, _) = GenerationalNhIndex::open(dir.path(), &grown, 64).unwrap();
+        let (idx, _) = open(dir.path(), &grown);
         // the unfolded tail [base_len, len) is derived as the delta
         assert_eq!(idx.snapshot().delta_graphs(), 1);
         drop(idx);
 
         // with the rolled-back db there is no delta
-        let (idx, _) = GenerationalNhIndex::open(dir.path(), &db, 64).unwrap();
+        let (idx, _) = open(dir.path(), &db);
         assert_eq!(idx.snapshot().delta_graphs(), 0);
     }
 }

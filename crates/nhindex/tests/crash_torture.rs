@@ -1,5 +1,5 @@
 //! Crash-torture harness for the generational index: every gated I/O
-//! operation of every mutation (insert, remove, fold) is failed in turn,
+//! operation of every durable mutation (remove, fold) is failed in turn,
 //! process death is simulated by dropping the handle with the fault still
 //! tripped (so even the buffer pool's best-effort `Drop` flush fails), and
 //! the reopened index must be *bit-identical in query output* to either
@@ -7,7 +7,9 @@
 //! (committed) — never anything in between. An index directory is never
 //! rewritten in place, so the only durable step of a mutation is its
 //! atomic `mvcc.json` write (plus, for a fold, a generation build that an
-//! open sweeps if the flip never happened).
+//! open sweeps if the flip never happened). An insert writes nothing here:
+//! its owner commits it (the database's `shards.json` assignment), and
+//! open re-derives the delta from the owned graphs.
 //!
 //! The fault shim is thread-local, so these tests are safe under the
 //! default parallel test runner.
@@ -124,16 +126,12 @@ fn probe_matrix(idx: &GenerationalNhIndex, probe_db: &GraphDb) -> Vec<Vec<NodeCa
 }
 
 /// What a reopened index is observed as: its probe matrix plus the
-/// durable counters (logical mutations, current generation, tombstones).
-type Observed = (Vec<Vec<NodeCandidate>>, [u64; 3]);
+/// durable counters (current generation, tombstones).
+type Observed = (Vec<Vec<NodeCandidate>>, [u64; 2]);
 
 fn observe(idx: &GenerationalNhIndex, probe_db: &GraphDb) -> Observed {
     let snap = idx.snapshot();
-    let marks = [
-        snap.logical(),
-        snap.base_generation(),
-        snap.removed_count() as u64,
-    ];
+    let marks = [snap.base_generation(), snap.removed_count() as u64];
     (probe_matrix(idx, probe_db), marks)
 }
 
@@ -149,20 +147,18 @@ fn copy_tree(src: &Path, dst: &Path) {
     }
 }
 
-/// Reopens `dir` the way its owner's journal would: against `post_db`
-/// when the logical counter shows the mutation committed, else `pre_db`.
-fn reopen(
-    dir: &Path,
-    pre_db: &GraphDb,
-    post_db: &GraphDb,
-    pre_logical: u64,
-) -> GenerationalNhIndex {
-    let db = if GenerationalNhIndex::peek_logical(dir).unwrap() > pre_logical {
-        post_db
-    } else {
-        pre_db
-    };
-    GenerationalNhIndex::open(dir, db, cfg().buffer_frames)
+fn all(db: &GraphDb) -> Vec<GraphId> {
+    (0..db.len() as u32).map(GraphId).collect()
+}
+
+/// Builds generation 0 owning every graph of `db`.
+fn build(dir: &Path, db: &GraphDb) -> GenerationalNhIndex {
+    GenerationalNhIndex::build_owned(dir, db, &cfg(), all(db), None).unwrap()
+}
+
+/// Reopens `dir` owning every graph of `db`.
+fn reopen(dir: &Path, db: &GraphDb) -> GenerationalNhIndex {
+    GenerationalNhIndex::open_owned(dir, db, &all(db), cfg().buffer_frames, None)
         .unwrap()
         .0
 }
@@ -170,28 +166,27 @@ fn reopen(
 /// Runs `mutate` against a copy of `pre` failing the `i`-th gated I/O
 /// operation for every `i`, and asserts the recovered index is observed
 /// exactly as the pre state or the post state, with generation
-/// directories swept and a clean integrity check. `pre_db` is the graph
-/// store before the mutation, `post_db` after it. Returns the number of
+/// directories swept and a clean integrity check. `db` is the graph
+/// store (a removal or a fold leaves it unchanged). Returns the number of
 /// fault points swept.
-fn sweep<F>(pre: &Path, scratch: &Path, pre_db: &GraphDb, post_db: &GraphDb, mutate: F) -> u64
+fn sweep<F>(pre: &Path, scratch: &Path, db: &GraphDb, mutate: F) -> u64
 where
     F: Fn(&GenerationalNhIndex) -> tale_nhindex::Result<()>,
 {
-    let pre_logical = GenerationalNhIndex::peek_logical(pre).unwrap();
-    let pre_state = observe(&reopen(pre, pre_db, post_db, pre_logical), post_db);
+    let pre_state = observe(&reopen(pre, db), db);
 
     let post_dir = scratch.join("post");
     copy_tree(pre, &post_dir);
-    let idx = reopen(&post_dir, pre_db, post_db, pre_logical);
+    let idx = reopen(&post_dir, db);
     mutate(&idx).unwrap();
     drop(idx);
-    let post_state = observe(&reopen(&post_dir, pre_db, post_db, pre_logical), post_db);
+    let post_state = observe(&reopen(&post_dir, db), db);
     assert_ne!(pre_state.1, post_state.1, "the mutation committed nothing");
 
     // Measuring run: how many gated I/O operations does the mutation make?
     let count_dir = scratch.join("count");
     copy_tree(pre, &count_dir);
-    let idx = reopen(&count_dir, pre_db, post_db, pre_logical);
+    let idx = reopen(&count_dir, db);
     faults::arm_counting();
     mutate(&idx).unwrap();
     let n = faults::disarm();
@@ -201,15 +196,15 @@ where
     for i in 0..n {
         let work = scratch.join(format!("fault-{i}"));
         copy_tree(pre, &work);
-        let idx = reopen(&work, pre_db, post_db, pre_logical);
+        let idx = reopen(&work, db);
         faults::arm(i);
         let res = mutate(&idx);
         drop(idx); // the process is "dead"; no GC runs
         faults::disarm();
         assert!(res.is_err(), "fault {i} of {n} did not surface");
 
-        let idx = reopen(&work, pre_db, post_db, pre_logical);
-        let got = observe(&idx, post_db);
+        let idx = reopen(&work, db);
+        let got = observe(&idx, db);
         assert!(
             got == pre_state || got == post_state,
             "fault {i} of {n}: recovered state is neither pre nor post (marks {:?})",
@@ -244,44 +239,32 @@ fn assert_gens_swept(dir: &Path, current: u64) {
 }
 
 #[test]
-fn torture_insert_graph() {
-    let db = sample_db();
-    let (db3, db4) = (prefix(&db, 3), prefix(&db, 4));
-    let scratch = tempfile::tempdir().unwrap();
-    let pre = scratch.path().join("pre");
-    GenerationalNhIndex::build(&pre, &db3, &cfg()).unwrap();
-    let n = sweep(&pre, scratch.path(), &db3, &db4, |idx| {
-        idx.insert_graph(&db4, GraphId(3))
-    });
-    // the insert's one durable step: the atomic mvcc.json write
-    assert_eq!(n, 2, "insert fault points");
-}
-
-#[test]
 fn torture_remove_graph() {
     let db3 = prefix(&sample_db(), 3);
     let scratch = tempfile::tempdir().unwrap();
     let pre = scratch.path().join("pre");
-    GenerationalNhIndex::build(&pre, &db3, &cfg()).unwrap();
-    sweep(&pre, scratch.path(), &db3, &db3, |idx| {
+    build(&pre, &db3);
+    let n = sweep(&pre, scratch.path(), &db3, |idx| {
         idx.remove_graph(GraphId(1))
     });
+    // the removal's one durable step: the atomic mvcc.json write
+    assert_eq!(n, 2, "remove fault points");
 }
 
 #[test]
-fn torture_second_insert_after_first_commits() {
-    // A crash in mutation k must not disturb mutation k-1's committed
-    // state.
+fn insert_writes_nothing_and_reopens_from_the_owned_set() {
+    // An insert only extends the in-memory delta: no gated I/O at all, and
+    // a reopen re-derives the same answers from the owned graphs.
     let db = sample_db();
-    let (db3, db4, db5) = (prefix(&db, 3), prefix(&db, 4), prefix(&db, 5));
-    let scratch = tempfile::tempdir().unwrap();
-    let pre = scratch.path().join("pre");
-    let idx = GenerationalNhIndex::build(&pre, &db3, &cfg()).unwrap();
-    idx.insert_graph(&db4, GraphId(3)).unwrap();
+    let (db3, db4) = (prefix(&db, 3), prefix(&db, 4));
+    let dir = tempfile::tempdir().unwrap();
+    let idx = build(dir.path(), &db3);
+    faults::arm_counting();
+    idx.extend_delta(&db4, GraphId(3)).unwrap();
+    assert_eq!(faults::disarm(), 0, "an insert touched the disk");
+    let live = probe_matrix(&idx, &db4);
     drop(idx);
-    sweep(&pre, scratch.path(), &db4, &db5, |idx| {
-        idx.insert_graph(&db5, GraphId(4))
-    });
+    assert_eq!(probe_matrix(&reopen(dir.path(), &db4), &db4), live);
 }
 
 #[test]
@@ -293,18 +276,18 @@ fn torture_fold() {
     let (db4, db5) = (prefix(&db, 4), prefix(&db, 5));
     let scratch = tempfile::tempdir().unwrap();
     let pre = scratch.path().join("pre");
-    let idx = GenerationalNhIndex::build(&pre, &db4, &cfg()).unwrap();
-    idx.insert_graph(&db5, GraphId(4)).unwrap();
+    let idx = build(&pre, &db4);
+    idx.extend_delta(&db5, GraphId(4)).unwrap();
     idx.remove_graph(GraphId(1)).unwrap();
     let before = probe_matrix(&idx, &db5);
     drop(idx);
-    let n = sweep(&pre, scratch.path(), &db5, &db5, |idx| {
+    let n = sweep(&pre, scratch.path(), &db5, |idx| {
         let report = idx.fold(&db5)?;
         assert_eq!((report.folded_inserts, report.folded_removes), (1, 1));
         Ok(())
     });
     assert!(n >= 3, "suspiciously few fold fault points: {n}");
-    let (idx, _) = GenerationalNhIndex::open(&pre, &db5, cfg().buffer_frames).unwrap();
+    let idx = reopen(&pre, &db5);
     idx.fold(&db5).unwrap();
     assert_eq!(probe_matrix(&idx, &db5), before, "fold changed answers");
 }
@@ -351,13 +334,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Randomized interleavings: shuffle two inserts, two removes and a
-    /// fold, crash one of them at a random fault point, and check the
-    /// recovered index equals a clean replay of exactly the committed
-    /// prefix.
+    /// fold, crash one of the three durable ones at a random fault point,
+    /// and check the recovered index equals a clean replay of exactly the
+    /// committed prefix.
     #[test]
     fn random_interleavings_recover_to_a_clean_replay(
         order_seed in any::<u64>(),
-        crash_at in 0usize..5,
+        durable_pick in 0usize..3,
         fault_seed in any::<u64>(),
     ) {
         // Fisher–Yates over the five ops, driven by the generated seed.
@@ -372,7 +355,7 @@ proptest! {
         // ops 0/1 insert the next graph, 2/3 remove graphs 0/1, 4 folds;
         // `inserted` is how many inserts have committed before the op
         let apply = |idx: &GenerationalNhIndex, op: usize, inserted: usize| match op {
-            0 | 1 => idx.insert_graph(&dbs[inserted + 1], GraphId(3 + inserted as u32)),
+            0 | 1 => idx.extend_delta(&dbs[inserted + 1], GraphId(3 + inserted as u32)),
             2 => idx.remove_graph(GraphId(0)),
             3 => idx.remove_graph(GraphId(1)),
             _ => idx.fold(&dbs[inserted]).map(|_| ()),
@@ -380,54 +363,51 @@ proptest! {
         let inserts_before = |k: usize| order[..k].iter().filter(|&&op| op < 2).count();
         let marks = |idx: &GenerationalNhIndex| {
             let snap = idx.snapshot();
-            (snap.logical(), snap.base_generation())
+            (snap.base_generation(), snap.removed_count())
         };
+        // inserts make no gated I/O, so the crash hits a remove or the fold
+        let crash_at = (0..order.len())
+            .filter(|&k| order[k] >= 2)
+            .nth(durable_pick)
+            .unwrap();
         let scratch = tempfile::tempdir().unwrap();
 
         // work index: clean ops before the crash point
         let work = scratch.path().join("work");
-        let idx = GenerationalNhIndex::build(&work, &dbs[0], &cfg()).unwrap();
+        let idx = build(&work, &dbs[0]);
         for (k, &op) in order[..crash_at].iter().enumerate() {
             apply(&idx, op, inserts_before(k)).unwrap();
         }
         let pre_marks = marks(&idx);
         drop(idx);
-        let pre_inserted = inserts_before(crash_at);
+        let inserted = inserts_before(crash_at);
         let crashing = order[crash_at];
-        let post_inserted = pre_inserted + usize::from(crashing < 2);
-        let open = |dir: &Path, inserted: usize| {
-            GenerationalNhIndex::open(dir, &dbs[inserted], cfg().buffer_frames).unwrap().0
-        };
 
         // measure the crashing op's fault points on a throwaway copy
         let count_dir = scratch.path().join("count");
         copy_tree(&work, &count_dir);
-        let idx = open(&count_dir, pre_inserted);
+        let idx = reopen(&count_dir, &dbs[inserted]);
         faults::arm_counting();
-        apply(&idx, crashing, pre_inserted).unwrap();
+        apply(&idx, crashing, inserted).unwrap();
         let n = faults::disarm();
         drop(idx);
         prop_assert!(n > 0);
 
         // crash the real one
-        let idx = open(&work, pre_inserted);
+        let idx = reopen(&work, &dbs[inserted]);
         faults::arm(fault_seed % n);
-        let res = apply(&idx, crashing, pre_inserted);
+        let res = apply(&idx, crashing, inserted);
         drop(idx);
         faults::disarm();
         prop_assert!(res.is_err());
 
-        // the owner's journal rule: the insert committed iff the logical
-        // counter moved
-        let logical = GenerationalNhIndex::peek_logical(&work).unwrap();
-        let inserted = if logical > pre_marks.0 { post_inserted } else { pre_inserted };
-        let idx = open(&work, inserted);
+        let idx = reopen(&work, &dbs[inserted]);
         let committed = marks(&idx) != pre_marks;
         let replayed = crash_at + usize::from(committed);
 
         // clean replay of exactly the committed prefix
         let replay_dir = scratch.path().join("replay");
-        let replay = GenerationalNhIndex::build(&replay_dir, &dbs[0], &cfg()).unwrap();
+        let replay = build(&replay_dir, &dbs[0]);
         for (k, &op) in order[..replayed].iter().enumerate() {
             apply(&replay, op, inserts_before(k)).unwrap();
         }

@@ -27,6 +27,12 @@ const RHO: f64 = 0.3;
 const READERS: usize = 4;
 const MIN_READER_ITERS: u32 = 25;
 
+/// Generation 0 owning every graph of `db`.
+fn build(dir: &std::path::Path, db: &GraphDb) -> GenerationalNhIndex {
+    let all = (0..db.len() as u32).map(GraphId).collect();
+    GenerationalNhIndex::build_owned(dir, db, &cfg(), all, None).unwrap()
+}
+
 fn cfg() -> NhIndexConfig {
     NhIndexConfig {
         sbit: 32,
@@ -113,7 +119,7 @@ fn pinned_snapshots_answer_bit_identically_under_concurrent_mutations() {
     ] {
         chain(&mut db, labels);
     }
-    let idx = GenerationalNhIndex::build(dir.path(), &db, &cfg()).unwrap();
+    let idx = build(dir.path(), &db);
     let queries = query_graphs();
 
     // Pin the pre-storm state and record its answers.
@@ -153,8 +159,9 @@ fn pinned_snapshots_answer_bit_identically_under_concurrent_mutations() {
                     assert_eq!(
                         first,
                         second,
-                        "reader {r}: one snapshot answered two ways (logical {})",
-                        snap.logical()
+                        "reader {r}: one snapshot answered two ways (generation {}, {} delta graphs)",
+                        snap.base_generation(),
+                        snap.delta_graphs()
                     );
                     iters += 1;
                 }
@@ -167,7 +174,7 @@ fn pinned_snapshots_answer_bit_identically_under_concurrent_mutations() {
             let rotation = [&["C", "B", "A"][..], &["A", "C", "B"], &["B", "A", "C"]];
             for step in 0..12usize {
                 let gid = chain(db, rotation[step % rotation.len()]);
-                idx.insert_graph(db, gid).unwrap();
+                idx.extend_delta(db, gid).unwrap();
                 match step {
                     2 => idx.remove_graph(removed[0]).unwrap(),
                     7 => idx.remove_graph(removed[1]).unwrap(),
@@ -223,11 +230,11 @@ fn fold_is_a_pure_representation_change() {
     chain(&mut db, &["A", "B", "C"]);
     chain(&mut db, &["B", "C", "A"]);
     chain(&mut db, &["C", "A", "B"]);
-    let idx = GenerationalNhIndex::build(dir.path(), &db, &cfg()).unwrap();
+    let idx = build(dir.path(), &db);
     let queries = query_graphs();
 
     let g3 = chain(&mut db, &["A", "C", "B", "A"]);
-    idx.insert_graph(&db, g3).unwrap();
+    idx.extend_delta(&db, g3).unwrap();
     idx.remove_graph(GraphId(0)).unwrap();
 
     let before = probe_snapshot(&idx.snapshot(), &queries);

@@ -28,26 +28,23 @@
 //! Queries take the *first* graph in the file; its label names are mapped
 //! into the database vocabulary (unknown labels simply never match).
 //!
-//! `build --shards N` writes the partitioned layout (`shards.json` +
-//! `shard-NNN/` directories, see `tale_shard`); every other command
-//! detects the layout from the manifest and works on both. Sharded query
-//! results are bit-identical to the single-index answer.
+//! Every index directory holds `graphs.json`, the `shards.json` shard map
+//! and one `shard-NNN/` generational index per shard (`tale::shard`).
+//! `build` writes one shard unless `--shards N` asks for more; query
+//! results are bit-identical at every shard count.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
+use tale::shard::policy_by_name;
 use tale::{
-    CTreeStyle, ImportanceMeasure, MatchedNodesEdges, PlanMode, QualitySum, QueryMatch,
-    QueryOptions, QueryStats, ShardStats, TaleDatabase, TaleParams,
+    CTreeStyle, ImportanceMeasure, MatchedNodesEdges, PlanMode, QualitySum, QueryOptions,
+    ShardStats, TaleDatabase, TaleParams,
 };
 use tale_graph::labels::NodeLabel;
-use tale_graph::{Graph, GraphDb, GraphId, NodeId};
-use tale_nhindex::{
-    GenerationalNhIndex, IndexReader, IndexStatistics, NeighborArrayScheme, NodeCandidate,
-    ProbeStats, QuerySignature,
-};
+use tale_graph::{Graph, GraphDb};
+use tale_nhindex::{IndexReader, IndexStatistics, NodeCandidate, ProbeStats, QuerySignature};
 use tale_server::wire;
-use tale_shard::{policy_by_name, ShardManifest, ShardedTaleDatabase};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -131,12 +128,8 @@ health:   fetch a running tale-server's health view — liveness, load,
           circuit-breaker state; --json dumps the raw response
 ";
 
-/// A database handle that is either a single-index [`TaleDatabase`] or a
-/// [`ShardedTaleDatabase`], detected from the `shards.json` manifest.
-/// Every subcommand works on both.
-enum AnyDb {
-    Single(TaleDatabase),
-    Sharded(ShardedTaleDatabase),
+fn open_db(dir: &Path, buffer_frames: usize) -> Result<TaleDatabase, String> {
+    TaleDatabase::open(dir, buffer_frames).map_err(|e| e.to_string())
 }
 
 /// Probes each reader with one signature and merges (hits are disjoint
@@ -163,165 +156,20 @@ fn probe_readers(
     Ok((hits, total))
 }
 
-impl AnyDb {
-    fn open(dir: &Path, buffer_frames: usize) -> Result<Self, String> {
-        if ShardManifest::exists(dir) {
-            ShardedTaleDatabase::open(dir, buffer_frames)
-                .map(AnyDb::Sharded)
-                .map_err(|e| e.to_string())
-        } else {
-            TaleDatabase::open(dir, buffer_frames)
-                .map(AnyDb::Single)
-                .map_err(|e| e.to_string())
-        }
+/// Live per-unit index statistics: each shard's pinned base generation
+/// plus its delta overlay. `None` marks a unit whose index predates the
+/// statistics file (the planner falls back to fixed behavior there).
+fn statistics_units(tale: &TaleDatabase) -> Vec<(String, Option<Arc<IndexStatistics>>)> {
+    let mut units = Vec::new();
+    for (s, idx) in tale.index().numbered() {
+        let snap = idx.snapshot();
+        units.push((
+            format!("s{s} g{}", snap.base_generation()),
+            snap.base_reader().statistics(),
+        ));
+        units.push((format!("s{s} delta"), snap.delta_reader().statistics()));
     }
-
-    fn db(&self) -> Arc<GraphDb> {
-        match self {
-            AnyDb::Single(t) => t.db(),
-            AnyDb::Sharded(t) => t.db(),
-        }
-    }
-
-    fn index_size_bytes(&self) -> u64 {
-        match self {
-            AnyDb::Single(t) => t.index_size_bytes(),
-            AnyDb::Sharded(t) => t.index_size_bytes(),
-        }
-    }
-
-    fn key_count(&self) -> u64 {
-        match self {
-            AnyDb::Single(t) => t.index().key_count(),
-            AnyDb::Sharded(t) => t.index().key_count(),
-        }
-    }
-
-    fn node_count(&self) -> u64 {
-        match self {
-            AnyDb::Single(t) => t.index().node_count(),
-            AnyDb::Sharded(t) => t.index().node_count(),
-        }
-    }
-
-    fn scheme(&self) -> NeighborArrayScheme {
-        match self {
-            AnyDb::Single(t) => t.index().scheme(),
-            // all shards share one scheme (derived from the full
-            // database vocabulary at build time)
-            AnyDb::Sharded(t) => t.index().shards()[0].scheme(),
-        }
-    }
-
-    fn signature(
-        &self,
-        g: &Graph,
-        node: NodeId,
-        label_of: &dyn Fn(NodeId) -> u32,
-    ) -> QuerySignature {
-        match self {
-            AnyDb::Single(t) => t.index().signature(g, node, label_of),
-            AnyDb::Sharded(t) => t.index().shards()[0].signature(g, node, label_of),
-        }
-    }
-
-    /// Probes every reader and merges: a pinned snapshot's base
-    /// generation plus its delta overlay — of the one index, or of every
-    /// shard. Hits are disjoint across readers; counters sum.
-    fn probe_with_stats(
-        &self,
-        sig: &QuerySignature,
-        rho: f64,
-    ) -> Result<(Vec<NodeCandidate>, ProbeStats), String> {
-        match self {
-            AnyDb::Single(t) => {
-                let snap = t.index().snapshot();
-                let base = snap.base_reader();
-                let delta = snap.delta_reader();
-                probe_readers(&[&base, &delta], sig, rho)
-            }
-            AnyDb::Sharded(t) => t.with_readers(|_, readers| probe_readers(readers, sig, rho)),
-        }
-    }
-
-    /// The cost-based plan report for one query, without executing it.
-    fn explain(&self, query: &Graph, opts: &QueryOptions) -> tale::PlanReport {
-        match self {
-            AnyDb::Single(t) => t.explain(query, opts),
-            AnyDb::Sharded(t) => t.explain(query, opts),
-        }
-    }
-
-    /// The generational indexes behind the handle: the one index
-    /// (`None`), or every shard with its number.
-    fn indexes(&self) -> Vec<(Option<u32>, &GenerationalNhIndex)> {
-        match self {
-            AnyDb::Single(t) => vec![(None, t.index())],
-            AnyDb::Sharded(t) => t.index().numbered().map(|(s, i)| (Some(s), i)).collect(),
-        }
-    }
-
-    /// Live per-unit index statistics: each index's pinned base
-    /// generation plus its delta overlay. `None` marks a unit whose index
-    /// predates the statistics file (the planner falls back to fixed
-    /// behavior there).
-    fn statistics_units(&self) -> Vec<(String, Option<Arc<IndexStatistics>>)> {
-        let mut units = Vec::new();
-        for (shard, idx) in self.indexes() {
-            let label = shard.map(|s| format!("s{s} ")).unwrap_or_default();
-            let snap = idx.snapshot();
-            units.push((
-                format!("{label}g{}", snap.base_generation()),
-                snap.base_reader().statistics(),
-            ));
-            units.push((format!("{label}delta"), snap.delta_reader().statistics()));
-        }
-        units
-    }
-
-    fn insert_graph(&mut self, name: String, g: Graph) -> Result<GraphId, String> {
-        match self {
-            AnyDb::Single(t) => t.insert_graph(name, g).map_err(|e| e.to_string()),
-            AnyDb::Sharded(t) => t.insert_graph(name, g).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn intern_node_label(&mut self, name: &str) -> NodeLabel {
-        match self {
-            AnyDb::Single(t) => t.intern_node_label(name),
-            AnyDb::Sharded(t) => t.intern_node_label(name),
-        }
-    }
-
-    /// One query through the engine, returning its per-query stats plus
-    /// the per-shard breakdown and skew from the batch layer.
-    #[allow(clippy::type_complexity)]
-    fn query_with_stats(
-        &self,
-        query: &Graph,
-        opts: &QueryOptions,
-    ) -> Result<(Vec<QueryMatch>, QueryStats, Vec<ShardStats>, f64), String> {
-        let (mut outputs, mut batch) = match self {
-            AnyDb::Single(t) => t.query_batch_with_stats(&[query], opts),
-            AnyDb::Sharded(t) => {
-                return t
-                    .query_batch_with_stats(&[query], opts)
-                    .map(|(mut o, mut b)| {
-                        let skew = b.shard_skew();
-                        (o.remove(0), b.per_query.remove(0), b.shards, skew)
-                    })
-                    .map_err(|e| e.to_string())
-            }
-        }
-        .map_err(|e| e.to_string())?;
-        let skew = batch.shard_skew();
-        Ok((
-            outputs.remove(0),
-            batch.per_query.remove(0),
-            batch.shards,
-            skew,
-        ))
-    }
+    units
 }
 
 /// Positional arguments and `--flag value` pairs.
@@ -396,18 +244,17 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         return Err(format!("build needs <graphs> <index-dir>\n{USAGE}"));
     };
     let mut params = TaleParams::default();
-    let mut shards: Option<usize> = None;
+    let mut nshards = 1usize;
     let mut policy_name = "hash";
     for (name, v) in flags {
         match name {
             "sbit" => params.sbit = parse(name, v)?,
             "frames" => params.buffer_frames = parse(name, v)?,
             "shards" => {
-                let n: usize = parse(name, v)?;
-                if n == 0 {
+                nshards = parse(name, v)?;
+                if nshards == 0 {
                     return Err("--shards must be >= 1".into());
                 }
-                shards = Some(n);
             }
             "policy" => policy_name = v,
             other => return Err(format!("unknown flag --{other}")),
@@ -418,49 +265,32 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let db = load_db(Path::new(input))?;
     let (graphs, nodes, edges) = (db.len(), db.total_nodes(), db.total_edges());
     let start = std::time::Instant::now();
-    if let Some(nshards) = shards {
-        let (tale, build) = ShardedTaleDatabase::build_with_stats(
-            db,
-            Path::new(dir),
-            &params,
-            nshards,
-            policy.as_ref(),
-        )
-        .map_err(|e| e.to_string())?;
+    let (tale, build) =
+        TaleDatabase::build_with_stats(db, Path::new(dir), &params, nshards, policy.as_ref())
+            .map_err(|e| e.to_string())?;
+    println!(
+        "indexed {graphs} graphs ({nodes} nodes, {edges} edges) in {:.2}s \
+         across {nshards} shard{} ({policy_name} placement, build skew {:.2})",
+        start.elapsed().as_secs_f64(),
+        if nshards == 1 { "" } else { "s" },
+        build.skew()
+    );
+    for (s, (&g, &n)) in build
+        .graphs_per_shard
+        .iter()
+        .zip(&build.nodes_per_shard)
+        .enumerate()
+    {
         println!(
-            "indexed {graphs} graphs ({nodes} nodes, {edges} edges) in {:.2}s \
-             across {nshards} shards ({policy_name} placement, build skew {:.2})",
-            start.elapsed().as_secs_f64(),
-            build.skew()
-        );
-        for (s, (&g, &n)) in build
-            .graphs_per_shard
-            .iter()
-            .zip(&build.nodes_per_shard)
-            .enumerate()
-        {
-            println!(
-                "  shard {s:>3}: {g} graphs, {n} nodes, built in {:.3}s",
-                build.per_shard_secs[s]
-            );
-        }
-        println!(
-            "index: {} keys, {} bytes at {dir}",
-            tale.index().key_count(),
-            tale.index_size_bytes()
-        );
-    } else {
-        let tale = TaleDatabase::build(db, Path::new(dir), &params).map_err(|e| e.to_string())?;
-        println!(
-            "indexed {graphs} graphs ({nodes} nodes, {edges} edges) in {:.2}s",
-            start.elapsed().as_secs_f64()
-        );
-        println!(
-            "index: {} distinct keys, {} bytes at {dir}",
-            tale.index().key_count(),
-            tale.index_size_bytes()
+            "  shard {s:>3}: {g} graphs, {n} nodes, built in {:.3}s",
+            build.per_shard_secs[s]
         );
     }
+    println!(
+        "index: {} keys, {} bytes at {dir}",
+        tale.index().key_count(),
+        tale.index_size_bytes()
+    );
     Ok(())
 }
 
@@ -470,7 +300,7 @@ fn cmd_add(args: &[String]) -> Result<(), String> {
         return Err(format!("add needs <index-dir> <graphs>\n{USAGE}"));
     };
     let pool_pages = pool_pages_only(&flags, 4096)?;
-    let mut tale = AnyDb::open(Path::new(dir), pool_pages)?;
+    let tale = open_db(Path::new(dir), pool_pages)?;
     let incoming = load_db(Path::new(input))?;
     let mut added = 0;
     for (gid, name, src) in incoming.iter() {
@@ -489,13 +319,14 @@ fn cmd_add(args: &[String]) -> Result<(), String> {
         for (u, v, _) in src.edges() {
             g.add_edge(u, v).map_err(|e| e.to_string())?;
         }
-        tale.insert_graph(name.to_owned(), g)?;
+        tale.insert_graph(name.to_owned(), g)
+            .map_err(|e| e.to_string())?;
         added += 1;
     }
     println!(
         "added {added} graphs; index now covers {} graphs / {} nodes",
         tale.db().len(),
-        tale.node_count()
+        tale.index().node_count()
     );
     Ok(())
 }
@@ -525,8 +356,9 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown flag --{other}")),
         }
     }
-    let tale = AnyDb::open(Path::new(dir), pool_pages)?;
-    let units = tale.statistics_units();
+    let tale = open_db(Path::new(dir), pool_pages)?;
+    let units = statistics_units(&tale);
+    let m = tale.index().manifest();
     if json {
         #[derive(serde::Serialize)]
         struct UnitDump {
@@ -541,26 +373,19 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             node_labels: usize,
             index_keys: u64,
             index_bytes: u64,
-            shard_count: Option<u32>,
-            policy: Option<String>,
+            shard_count: u32,
+            policy: String,
             units: Vec<UnitDump>,
         }
-        let (shard_count, policy) = match &tale {
-            AnyDb::Sharded(t) => {
-                let m = t.index().manifest();
-                (Some(m.shard_count), Some(m.policy.clone()))
-            }
-            AnyDb::Single(_) => (None, None),
-        };
         let dump = StatsDump {
             graphs: tale.db().len(),
             nodes: tale.db().total_nodes(),
             edges: tale.db().total_edges(),
             node_labels: tale.db().node_vocab().len(),
-            index_keys: tale.key_count(),
+            index_keys: tale.index().key_count(),
             index_bytes: tale.index_size_bytes(),
-            shard_count,
-            policy,
+            shard_count: m.shard_count,
+            policy: m.policy.clone(),
             units: units
                 .iter()
                 .map(|(name, st)| UnitDump {
@@ -583,25 +408,24 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         "group labels     : {}",
         if tale.db().has_groups() { "yes" } else { "no" }
     );
-    println!("index keys       : {}", tale.key_count());
+    println!("index keys       : {}", tale.index().key_count());
     println!("index bytes      : {}", tale.index_size_bytes());
-    if let AnyDb::Sharded(t) = &tale {
-        let m = t.index().manifest();
+    println!(
+        "shards           : {} ({} placement)",
+        m.shard_count, m.policy
+    );
+    for (s, idx) in tale.index().numbered() {
         println!(
-            "shards           : {} ({} placement)",
-            m.shard_count, m.policy
+            "  shard {s:>3}: {} graphs, {} indexed nodes, {} keys, {} bytes",
+            m.graphs_of(s).len(),
+            idx.node_count(),
+            idx.key_count(),
+            idx.size_bytes()
         );
-        for (s, idx) in t.index().numbered() {
-            println!(
-                "  shard {s:>3}: {} graphs, {} indexed nodes, {} keys, {} bytes",
-                m.graphs_of(s).len(),
-                idx.node_count(),
-                idx.key_count(),
-                idx.size_bytes()
-            );
-        }
     }
-    let s = tale.scheme();
+    // all shards share one scheme (derived from the full database
+    // vocabulary at build and fold time)
+    let s = tale.index().shards()[0].scheme();
     println!(
         "neighbor arrays  : Sbit={} ({})",
         s.sbit,
@@ -690,7 +514,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown flag --{other}")),
         }
     }
-    let tale = AnyDb::open(Path::new(dir), pool_pages)?;
+    let tale = open_db(Path::new(dir), pool_pages)?;
     let qdb = load_db(&PathBuf::from(query_path))?;
     if qdb.is_empty() {
         return Err("query file holds no graphs".into());
@@ -752,7 +576,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let tale = AnyDb::open(Path::new(dir), pool_pages)?;
+    let tale = open_db(Path::new(dir), pool_pages)?;
     let qdb = load_db(&PathBuf::from(query_path))?;
     if qdb.is_empty() {
         return Err("query file holds no graphs".into());
@@ -761,7 +585,15 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let plan_report = want_explain.then(|| tale.explain(&query, &opts));
 
     let start = std::time::Instant::now();
-    let (results, stats, shard_stats, skew) = tale.query_with_stats(&query, &opts)?;
+    let (mut outputs, mut batch) = tale
+        .query_batch_with_stats(&[&query], &opts)
+        .map_err(|e| e.to_string())?;
+    let (results, stats, skew) = (
+        outputs.remove(0),
+        batch.per_query.remove(0),
+        batch.shard_skew(),
+    );
+    let shard_stats = batch.shards;
     let secs = start.elapsed().as_secs_f64();
     if json {
         #[derive(serde::Serialize)]
@@ -892,36 +724,22 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         return Err(format!("verify needs <index-dir>\n{USAGE}"));
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
-    let tale = AnyDb::open(Path::new(dir), pool_pages)?;
+    let tale = open_db(Path::new(dir), pool_pages)?;
     // consistency: index node count equals database node count minus
     // tombstoned graphs' nodes (we can't see tombstones here, so ≤)
     let db_nodes = tale.db().total_nodes() as u64;
-    let idx_nodes = tale.node_count();
+    let idx_nodes = tale.index().node_count();
     if idx_nodes > db_nodes {
         return Err(format!(
             "index claims {idx_nodes} nodes but the database holds {db_nodes}"
         ));
     }
-    // labeled per-shard reports; the single index reports as one shard
-    let reports: Vec<(String, tale_nhindex::IntegrityReport)> = match &tale {
-        AnyDb::Single(t) => vec![(
-            "index".to_owned(),
-            t.index().verify().map_err(|e| e.to_string())?,
-        )],
-        AnyDb::Sharded(t) => t
-            .index()
-            .verify()
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .enumerate()
-            .map(|(s, r)| (format!("shard {s}"), r))
-            .collect(),
-    };
+    let reports = tale.index().verify().map_err(|e| e.to_string())?;
     let mut corrupt = 0usize;
-    for (who, r) in &reports {
+    for (s, r) in reports.iter().enumerate() {
         let status = if r.is_ok() { "ok" } else { "CORRUPT" };
         println!(
-            "{who}: {status} — {} btree pages, {} blob pages, {} keys, \
+            "shard {s}: {status} — {} btree pages, {} blob pages, {} keys, \
              {} postings, {} rows",
             r.btree_pages, r.blob_pages, r.keys, r.postings, r.posting_rows
         );
@@ -939,22 +757,25 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         ));
     }
     // probe sweep on top of the physical walk: one representative
-    // signature per graph, against every shard when sharded
+    // signature per graph, against every shard's base and delta
     let mut probed = 0u64;
-    for (gid, _, g) in tale.db().iter() {
-        if let Some(n) = g.nodes().next() {
-            let sig = tale.signature(g, n, &|x| tale.db().effective_label(gid, x));
-            tale.probe_with_stats(&sig, 1.0)
-                .map_err(|e| format!("probe failed for graph {}: {e}", gid.0))?;
-            probed += 1;
+    tale.with_readers(|db, readers| {
+        for (gid, _, g) in db.iter() {
+            if let Some(n) = g.nodes().next() {
+                let sig = readers[0].signature(g, n, &|x| db.effective_label(gid, x));
+                probe_readers(readers, &sig, 1.0)
+                    .map_err(|e| format!("probe failed for graph {}: {e}", gid.0))?;
+                probed += 1;
+            }
         }
-    }
+        Ok::<_, String>(())
+    })?;
     println!(
         "ok: {} graphs, {} indexed nodes, {} distinct keys, {} bytes; \
          {probed} probe paths verified",
         tale.db().len(),
         idx_nodes,
-        tale.key_count(),
+        tale.index().key_count(),
         tale.index_size_bytes()
     );
     Ok(())
@@ -972,49 +793,39 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
         return Err(format!("recover needs <index-dir>\n{USAGE}"));
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
-    let dir = Path::new(dir);
-    let (journal_present, db_rolled_back, units) = if ShardManifest::exists(dir) {
-        let (_, rec) =
-            ShardedTaleDatabase::open_with_recovery(dir, pool_pages).map_err(|e| e.to_string())?;
-        let units = rec
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, r)| {
-                let who = if rec.folds_completed.contains(&(s as u32)) {
-                    format!("shard {s} (interrupted fold completed)")
-                } else {
-                    format!("shard {s}")
-                };
-                (who, r.generation, r.swept.len())
-            })
-            .collect();
-        (rec.journal_present, rec.db_rolled_back, units)
-    } else {
-        let (_, rec) =
-            TaleDatabase::open_with_recovery(dir, pool_pages).map_err(|e| e.to_string())?;
-        let units = vec![("index".to_owned(), rec.generation, rec.generations_swept)];
-        (rec.journal_present, rec.db_rolled_back, units)
-    };
+    let (_, rec) =
+        TaleDatabase::open_with_recovery(Path::new(dir), pool_pages).map_err(|e| e.to_string())?;
     println!(
         "mutation journal: {}{}",
-        if journal_present { "present" } else { "none" },
-        if db_rolled_back {
+        if rec.journal_present {
+            "present"
+        } else {
+            "none"
+        },
+        if rec.db_rolled_back {
             " (uncommitted insert: graphs.json restored from pre-mutation backup)"
         } else {
             ""
         }
     );
-    for (who, generation, swept) in units {
-        println!("{who}: generation g{generation}, {swept} orphaned generation(s) swept");
+    for (s, r) in rec.shards.iter().enumerate() {
+        println!(
+            "shard {s}{}: generation g{}, {} orphaned generation(s) swept",
+            if rec.folds_completed.contains(&(s as u32)) {
+                " (interrupted fold completed)"
+            } else {
+                ""
+            },
+            r.generation,
+            r.swept.len()
+        );
     }
     println!("recovered; the directory is safe to serve");
     Ok(())
 }
 
-/// Shows each generational index's MVCC state, one row per index (per
-/// shard for a sharded layout): current generation, unfolded delta size,
-/// tombstones, logical mutation counter, and the on-disk generations with
+/// Shows each shard's MVCC state, one row per shard: current generation,
+/// unfolded delta size, tombstones, and the on-disk generations with
 /// their reader pin counts.
 fn cmd_generations(args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_args(args)?;
@@ -1022,9 +833,9 @@ fn cmd_generations(args: &[String]) -> Result<(), String> {
         return Err(format!("generations needs <index-dir>\n{USAGE}"));
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
-    let tale = AnyDb::open(Path::new(dir), pool_pages)?;
+    let tale = open_db(Path::new(dir), pool_pages)?;
     let mut pending = false;
-    for (shard, index) in tale.indexes() {
+    for (shard, index) in tale.index().numbered() {
         // list the generations before pinning one ourselves
         let on_disk: Vec<String> = index
             .generations()
@@ -1033,13 +844,11 @@ fn cmd_generations(args: &[String]) -> Result<(), String> {
             .collect();
         let snap = index.snapshot();
         println!(
-            "{}: current generation: g{}, {} unfolded insert(s), {} removed graph(s), \
-             {} logical mutation(s); on disk: {}",
-            shard.map_or("index".to_owned(), |s| format!("shard {s}")),
+            "shard {shard}: current generation: g{}, {} unfolded insert(s), \
+             {} removed graph(s); on disk: {}",
             snap.base_generation(),
             snap.delta_graphs(),
             snap.removed_count(),
-            snap.logical(),
             on_disk.join(", ")
         );
         pending |= snap.delta_graphs() > 0 || snap.removed_count() > 0;
@@ -1050,9 +859,9 @@ fn cmd_generations(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Folds each index's in-memory delta and tombstone set into a new
-/// on-disk generation and atomically flips to it — every shard of a
-/// sharded layout, against one graph store. Concurrent readers keep their
+/// Folds each shard's in-memory delta and tombstone set into a new
+/// on-disk generation and atomically flips to it — every shard against
+/// one graph store. Concurrent readers keep their
 /// pinned generation; the old one is deleted when its last pin drops.
 fn cmd_fold(args: &[String]) -> Result<(), String> {
     let (pos, flags) = split_args(args)?;
@@ -1060,19 +869,13 @@ fn cmd_fold(args: &[String]) -> Result<(), String> {
         return Err(format!("fold needs <index-dir>\n{USAGE}"));
     };
     let pool_pages = pool_pages_only(&flags, 256)?;
-    let tale = AnyDb::open(Path::new(dir), pool_pages)?;
+    let tale = open_db(Path::new(dir), pool_pages)?;
     let start = std::time::Instant::now();
-    let reports = match &tale {
-        AnyDb::Single(t) => vec![t.fold().map_err(|e| e.to_string())?],
-        AnyDb::Sharded(t) => t.fold().map_err(|e| e.to_string())?,
-    };
-    for ((shard, _), r) in tale.indexes().into_iter().zip(&reports) {
+    let reports = tale.fold().map_err(|e| e.to_string())?;
+    for (s, r) in reports.iter().enumerate() {
         println!(
-            "{}folded {} insert(s) and {} removal(s) into g{}",
-            shard.map_or(String::new(), |s| format!("shard {s}: ")),
-            r.folded_inserts,
-            r.folded_removes,
-            r.new_generation,
+            "shard {s}: folded {} insert(s) and {} removal(s) into g{}",
+            r.folded_inserts, r.folded_removes, r.new_generation,
         );
     }
     println!("fold took {:.2}s", start.elapsed().as_secs_f64());

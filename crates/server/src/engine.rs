@@ -1,16 +1,15 @@
-//! [`ShardEngine`]: one shard's slice of a sharded TALE database,
-//! wrapped for serving.
+//! [`ShardEngine`]: one shard's slice of a TALE database, wrapped for
+//! serving.
 //!
 //! A worker process owns exactly one shard of a database built by
-//! `ShardedTaleDatabase::build` (or `tale-cli build --shards N`): the
-//! shared `graphs.json` + `shards.json` at the root, and its own
-//! `shard-NNN/` generational index. The engine is a
-//! [`ShardedTaleDatabase`] opened on that one shard
-//! ([`ShardedTaleDatabase::open_shard`]), so queries, mutations, folds and
-//! crash recovery all run the in-process code path. Queries run the
+//! `TaleDatabase::build_sharded` (or `tale-cli build`): the shared
+//! `graphs.json` + `shards.json` at the root, and its own `shard-NNN/`
+//! generational index. The engine is a [`TaleDatabase`] opened on that
+//! one shard ([`TaleDatabase::open_shard`]), so queries, mutations, folds
+//! and crash recovery all run the in-process code path. Queries run the
 //! *complete* engine pipeline over the shard's base and delta readers —
-//! the one-shard case of the scatter/gather the in-process sharded
-//! database uses — so each worker's partials are ranked exactly as a
+//! the one-shard case of the scatter/gather the in-process database
+//! uses — so each worker's partials are ranked exactly as a
 //! local run would rank that shard's contribution. The frontend's re-rank
 //! of concatenated partials is then bit-identical to local execution
 //! (see `exec::rank_matches`).
@@ -28,10 +27,10 @@ use crate::wire::{
 };
 use crate::{Result, ServerError};
 use std::path::Path;
-use tale::BatchStats;
+use tale::shard::vocab_fingerprint;
+use tale::{BatchStats, TaleDatabase};
 use tale_graph::{Graph, GraphId};
 use tale_nhindex::SharedIo;
-use tale_shard::{vocab_fingerprint, ShardedTaleDatabase};
 
 /// Page-cache / I/O sizing for a worker's index.
 #[derive(Debug, Clone, Copy)]
@@ -59,16 +58,16 @@ impl Default for EngineConfig {
 /// database.
 pub struct ShardEngine {
     shard: u32,
-    db: ShardedTaleDatabase,
+    db: TaleDatabase,
 }
 
 impl ShardEngine {
-    /// Opens shard `shard` of the sharded database rooted at `root`
-    /// (the directory holding `graphs.json` and `shards.json`), running
-    /// the sharded database's crash recovery first.
+    /// Opens shard `shard` of the database rooted at `root` (the
+    /// directory holding `graphs.json` and `shards.json`), running the
+    /// database's crash recovery first.
     pub fn open(root: &Path, shard: u32, cfg: EngineConfig) -> Result<ShardEngine> {
         let io = SharedIo::new(cfg.io_workers, cfg.prefetch_pages);
-        let (db, _recovery) = ShardedTaleDatabase::open_shard(root, shard, cfg.buffer_frames, io)?;
+        let (db, _recovery) = TaleDatabase::open_shard(root, shard, cfg.buffer_frames, io)?;
         Ok(ShardEngine { shard, db })
     }
 
@@ -93,7 +92,7 @@ impl ShardEngine {
     }
 
     /// The served database (this shard's view of it).
-    pub fn database(&self) -> &ShardedTaleDatabase {
+    pub fn database(&self) -> &TaleDatabase {
         &self.db
     }
 
@@ -129,7 +128,7 @@ impl ShardEngine {
         Ok(self.db.explain(&query, &opts).render())
     }
 
-    /// Inserts a graph through [`ShardedTaleDatabase::insert_with`]:
+    /// Inserts a graph through [`TaleDatabase::insert_with`]:
     /// labels are interned, the routing policy must place the graph on
     /// this shard, and the insert commits by its `shards.json`
     /// assignment. Returns the new id.
@@ -161,7 +160,7 @@ impl ShardEngine {
     }
 
     /// Folds this shard's delta and tombstones into a new generation
-    /// ([`ShardedTaleDatabase::fold`]); queries keep running from their
+    /// ([`TaleDatabase::fold`]); queries keep running from their
     /// pinned snapshots. The tombstone markers persist (the dead graphs
     /// still hold ids in the shared database) while their postings are
     /// reclaimed. Returns `(live_graphs, tombstones_whose_postings_were_dropped)`.

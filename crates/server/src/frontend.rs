@@ -13,7 +13,7 @@
 //! execution.
 //!
 //! Failure is deterministic: if **any** shard's transport fails, the
-//! whole batch fails with `ShardError::Transport{shard, source}` — the
+//! whole batch fails with `ServerError::Transport { shard, source }` — the
 //! frontend never returns a partial merge. (A typed `Overloaded` or
 //! `deadline_exceeded` from a worker likewise fails the batch with that
 //! same typed error, so the client can distinguish shed from broken.)
@@ -49,7 +49,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use tale::engine::exec;
 use tale::QueryMatch;
-use tale_shard::ShardError;
 
 /// Frontend sizing.
 #[derive(Debug, Clone, Copy, Default)]
@@ -177,7 +176,7 @@ impl Frontend {
     /// scatter/gather, with the deadline budget counting from
     /// `received`. This is the typed core of the `query` endpoint: a
     /// shard failure comes back as
-    /// `ServerError::Shard(ShardError::Transport { shard, .. })`, a shed
+    /// `ServerError::Transport { shard, .. }`, a shed
     /// as `ServerError::Overloaded`, an expired budget as
     /// `ServerError::DeadlineExceeded`.
     pub fn query_batch(
@@ -353,12 +352,12 @@ impl Frontend {
     }
 }
 
-/// Wraps a per-shard failure in the shard seam's typed transport error.
+/// Wraps a per-shard failure in the typed transport error.
 fn transport_error(shard: u32, source: ServerError) -> ServerError {
-    ServerError::Shard(ShardError::Transport {
+    ServerError::Transport {
         shard,
         source: Box::new(source),
-    })
+    }
 }
 
 impl Service for Frontend {

@@ -1,10 +1,9 @@
 //! `tale-server`: the networked query service over the NH-Index shard
 //! seam.
 //!
-//! The sharded database (`tale-shard`) already splits a corpus into
-//! independent per-shard index directories and merges per-shard partials
-//! deterministically — bit-identical to a single index at any shard or
-//! thread count. This crate moves that scatter/gather boundary behind a
+//! A `tale::TaleDatabase` already splits a corpus into independent
+//! per-shard index directories and merges per-shard partials
+//! deterministically — bit-identical at any shard or thread count. This crate moves that scatter/gather boundary behind a
 //! network protocol so shards can live on different hosts:
 //!
 //! * [`wire`] — versioned, length-prefixed request/response framing over
@@ -93,8 +92,18 @@ pub enum ServerError {
     Overloaded(String),
     /// The request's deadline expired before it could execute.
     DeadlineExceeded,
-    /// Sharding/engine failure underneath the server.
-    Shard(tale_shard::ShardError),
+    /// Database/engine failure underneath the server.
+    Tale(tale::TaleError),
+    /// A shard became unreachable: connection refused or reset,
+    /// handshake failure, or a worker that died mid-batch. The frontend
+    /// fails the whole batch with this — deterministically, never a
+    /// partial merge — so callers can retry against a reconnected worker.
+    Transport {
+        /// The shard whose worker failed.
+        shard: u32,
+        /// The underlying transport failure.
+        source: Box<dyn std::error::Error + Send + Sync>,
+    },
     /// The peer's handshake didn't match expectations (wrong shard,
     /// vocabulary fingerprint mismatch, …).
     Handshake(String),
@@ -109,7 +118,10 @@ impl std::fmt::Display for ServerError {
             ServerError::BadRequest(m) => write!(f, "bad request: {m}"),
             ServerError::Overloaded(m) => write!(f, "overloaded: {m}"),
             ServerError::DeadlineExceeded => write!(f, "deadline exceeded"),
-            ServerError::Shard(e) => write!(f, "shard: {e}"),
+            ServerError::Tale(e) => write!(f, "tale: {e}"),
+            ServerError::Transport { shard, source } => {
+                write!(f, "shard {shard} transport: {source}")
+            }
             ServerError::Handshake(m) => write!(f, "handshake: {m}"),
         }
     }
@@ -120,7 +132,8 @@ impl std::error::Error for ServerError {
         match self {
             ServerError::Wire(e) => Some(e),
             ServerError::Io(e) => Some(e),
-            ServerError::Shard(e) => Some(e),
+            ServerError::Tale(e) => Some(e),
+            ServerError::Transport { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }
@@ -138,9 +151,9 @@ impl From<std::io::Error> for ServerError {
     }
 }
 
-impl From<tale_shard::ShardError> for ServerError {
-    fn from(e: tale_shard::ShardError) -> Self {
-        ServerError::Shard(e)
+impl From<tale::TaleError> for ServerError {
+    fn from(e: tale::TaleError) -> Self {
+        ServerError::Tale(e)
     }
 }
 

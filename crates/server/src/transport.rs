@@ -8,7 +8,7 @@
 //! version, shard identity, vocabulary fingerprint) before it serves
 //! work, dead connections are re-dialed with exponential backoff, and a
 //! failure mid-request surfaces as a typed error the frontend converts
-//! to `ShardError::Transport` — the whole batch fails deterministically,
+//! to `ServerError::Transport` — the whole batch fails deterministically,
 //! never a partial merge.
 
 use crate::backoff::{sleep_capped, Jitter};

@@ -32,7 +32,7 @@
 //! Scores and match qualities cross the wire as IEEE-754 **bit patterns**
 //! (`f64::to_bits`), never as decimal text, so a remote scatter/gather
 //! merges exactly the same `f64` values an in-process run would have —
-//! the bit-identity oracle (`ShardedTaleDatabase` vs frontend + workers)
+//! the bit-identity oracle (`TaleDatabase` vs frontend + workers)
 //! depends on it.
 //!
 //! ## Graphs by label name

@@ -19,7 +19,8 @@ use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tale::{QueryMatch, QueryOptions, TaleParams};
+use tale::shard::HashPolicy;
+use tale::{QueryMatch, QueryOptions, TaleDatabase, TaleParams};
 use tale_graph::generate::{gnm, mutate, MutationRates};
 use tale_graph::{Graph, GraphDb};
 use tale_server::admission::{AdmissionGate, GateConfig};
@@ -34,7 +35,6 @@ use tale_server::{
     ChaosProxy, Fault, FaultyTransport, Frontend, FrontendConfig, ReplicaConfig, ReplicaSet,
     ServerCounters, ServerError, WireError,
 };
-use tale_shard::{HashPolicy, ShardError, ShardedTaleDatabase};
 
 const LABELS: u32 = 6;
 
@@ -115,7 +115,7 @@ fn build_single_shard(
 ) -> Vec<Vec<QueryMatch>> {
     let queries: Vec<&Graph> = originals.iter().collect();
     let sharded =
-        ShardedTaleDatabase::build(db.clone(), dir, &TaleParams::default(), 1, &HashPolicy)
+        TaleDatabase::build_sharded(db.clone(), dir, &TaleParams::default(), 1, &HashPolicy)
             .unwrap();
     sharded.query_batch(&queries, opts).unwrap()
 }
@@ -427,7 +427,7 @@ fn mutations_go_to_the_primary_exactly_once() {
     let (db, _) = corpus(26, 3);
     let dir = tempfile::tempdir().unwrap();
     drop(
-        ShardedTaleDatabase::build(
+        TaleDatabase::build_sharded(
             db.clone(),
             dir.path(),
             &TaleParams::default(),
@@ -478,7 +478,7 @@ fn allow_partial_degrades_explicitly_and_default_fails_closed() {
     let opts = test_options();
     let queries: Vec<&Graph> = originals.iter().collect();
     let dir = tempfile::tempdir().unwrap();
-    let sharded = ShardedTaleDatabase::build(
+    let sharded = TaleDatabase::build_sharded(
         db.clone(),
         dir.path(),
         &TaleParams::default(),
@@ -511,7 +511,7 @@ fn allow_partial_degrades_explicitly_and_default_fails_closed() {
     t1.set_dead(true);
     let strict = wire_batch(&db, &originals, &opts, None, false);
     match frontend.query_batch(&strict, Instant::now()) {
-        Err(ServerError::Shard(ShardError::Transport { shard, .. })) => assert_eq!(shard, 1),
+        Err(ServerError::Transport { shard, .. }) => assert_eq!(shard, 1),
         other => panic!("expected a shard-1 transport error, got {other:?}"),
     }
 
@@ -528,7 +528,7 @@ fn allow_partial_degrades_explicitly_and_default_fails_closed() {
     // Every shard exhausted: nothing to answer from, opt-in or not.
     t0.set_dead(true);
     match frontend.query_batch(&req, Instant::now()) {
-        Err(ServerError::Shard(ShardError::Transport { .. })) => {}
+        Err(ServerError::Transport { .. }) => {}
         other => panic!("all-shards-down must fail even with opt-in, got {other:?}"),
     }
 

@@ -58,6 +58,11 @@ fn build_stats_query_roundtrip() {
     ]);
     assert!(ok, "build failed: {stderr}");
     assert!(stdout.contains("indexed 2 graphs"), "{stdout}");
+    // without --shards, build writes the one-shard layout
+    assert!(stdout.contains("across 1 shard "), "{stdout}");
+    assert!(idx.join("shards.json").is_file());
+    assert!(idx.join("shard-000").join("mvcc.json").is_file());
+    assert!(!idx.join("mvcc.json").exists());
 
     let (ok, stdout, _) = run(&["stats", idx.to_str().unwrap()]);
     assert!(ok);
@@ -179,12 +184,16 @@ fn json_output_and_verify() {
 
     let (ok, stdout, stderr) = run(&["verify", idx.to_str().unwrap()]);
     assert!(ok, "verify failed: {stderr}");
-    assert!(stdout.contains("index: ok"), "{stdout}");
+    assert!(stdout.contains("shard 0: ok"), "{stdout}");
     assert!(stdout.contains("ok:"), "{stdout}");
 
-    // verify must fail loudly on corruption (the generational layout
-    // keeps a fresh build's index under gens/g0)
-    let blob = idx.join("gens").join("g0").join("nh.blobs");
+    // verify must fail loudly on corruption (a fresh one-shard build
+    // keeps its index under shard-000/gens/g0)
+    let blob = idx
+        .join("shard-000")
+        .join("gens")
+        .join("g0")
+        .join("nh.blobs");
     let mut bytes = std::fs::read(&blob).unwrap();
     for b in bytes.iter_mut().take(64) {
         *b ^= 0xFF;
@@ -215,8 +224,12 @@ fn generations_inspects_and_fold_flips_to_a_new_generation() {
 
     let (ok, stdout, stderr) = run(&["generations", idx.to_str().unwrap()]);
     assert!(ok, "generations failed: {stderr}");
-    assert!(stdout.contains("current generation: g0"), "{stdout}");
+    assert!(
+        stdout.contains("shard 0: current generation: g0"),
+        "{stdout}"
+    );
     assert!(stdout.contains("0 unfolded insert(s)"), "{stdout}");
+    assert!(!stdout.contains("logical"), "{stdout}");
 
     // an insert lands in the delta overlay, not a new generation
     let (ok, _, stderr) = run(&["add", idx.to_str().unwrap(), more_path.to_str().unwrap()]);
@@ -334,7 +347,8 @@ fn recover_runs_on_single_and_sharded_layouts() {
     let (ok, stdout, stderr) = run(&["recover", single.to_str().unwrap()]);
     assert!(ok, "recover failed: {stderr}");
     assert!(stdout.contains("mutation journal: none"), "{stdout}");
-    assert!(stdout.contains("index: generation g0"), "{stdout}");
+    assert!(stdout.contains("shard 0: generation g0"), "{stdout}");
+    assert!(!stdout.contains("shard 1"), "{stdout}");
     assert!(stdout.contains("safe to serve"), "{stdout}");
 
     // an insert cut short after graphs.json was saved but before the

@@ -10,11 +10,11 @@
 //! default parallel test runner.
 
 use std::path::Path;
-use tale::{QueryOptions, TaleParams};
+use tale::shard::HashPolicy;
+use tale::{QueryOptions, TaleDatabase, TaleParams};
 use tale_graph::{Graph, GraphDb, GraphId, NodeId};
 use tale_server::engine::{EngineConfig, ShardEngine};
 use tale_server::wire::{FoldRequest, InsertRequest, RemoveRequest, WireGraph};
-use tale_shard::{HashPolicy, ShardedTaleDatabase};
 use tale_storage::faults;
 
 /// Tiny pool so generation builds overflow it and exercise eviction
@@ -155,7 +155,7 @@ fn deployment(scratch: &Path) -> (std::path::PathBuf, Vec<Graph>, Graph, GraphDb
         ..TaleParams::default()
     };
     let pre = scratch.join("pre");
-    drop(ShardedTaleDatabase::build(db.clone(), &pre, &params, 1, &HashPolicy).unwrap());
+    drop(TaleDatabase::build_sharded(db.clone(), &pre, &params, 1, &HashPolicy).unwrap());
     let mut queries = graphs;
     queries.push(fodder.clone());
     (pre, queries, fodder, db)

@@ -2,11 +2,11 @@
 //!
 //! * **Bit identity** — a batch run through frontend + shard workers
 //!   (each a separate TCP server) returns exactly the ranked answers the
-//!   in-process [`ShardedTaleDatabase`] produces, across shard counts,
+//!   in-process [`TaleDatabase`] produces, across shard counts,
 //!   thread counts, and plan modes — including through a second TCP hop
 //!   (raw client socket → frontend server → workers).
 //! * **Worker death** — killing a worker mid-deployment fails the whole
-//!   batch with the typed `ShardError::Transport { shard, .. }` (never a
+//!   batch with the typed `ServerError::Transport { shard, .. }` (never a
 //!   partial merge), and the frontend recovers on its own — reconnect
 //!   with backoff — once the worker is back on the same address.
 //! * **Saturation** — past the admission gate's limits, requests are
@@ -18,7 +18,8 @@ use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tale::{PlanMode, QueryMatch, QueryOptions, TaleParams};
+use tale::shard::HashPolicy;
+use tale::{PlanMode, QueryMatch, QueryOptions, TaleDatabase, TaleParams};
 use tale_graph::generate::{gnm, mutate, MutationRates};
 use tale_graph::{Graph, GraphDb};
 use tale_server::engine::{EngineConfig, ShardEngine};
@@ -29,7 +30,6 @@ use tale_server::wire::{
 };
 use tale_server::worker::{serve, serve_shard, ServerHandle, WorkerConfig};
 use tale_server::{Frontend, FrontendConfig, GateConfig, ServerError};
-use tale_shard::{HashPolicy, ShardError, ShardedTaleDatabase};
 
 const LABELS: u32 = 6;
 
@@ -128,7 +128,7 @@ fn remote_execution_is_bit_identical_to_in_process() {
     for &nshards in &[1usize, 2, 4] {
         let dir = tempfile::tempdir().unwrap();
         let sharded =
-            ShardedTaleDatabase::build(db.clone(), dir.path(), &params, nshards, &HashPolicy)
+            TaleDatabase::build_sharded(db.clone(), dir.path(), &params, nshards, &HashPolicy)
                 .unwrap();
         let handles = start_workers(dir.path(), nshards);
         let frontend = Arc::new(frontend_over(&handles));
@@ -210,7 +210,7 @@ fn worker_death_is_typed_and_reconnect_recovers() {
     let queries: Vec<&Graph> = originals.iter().collect();
     let dir = tempfile::tempdir().unwrap();
     let sharded =
-        ShardedTaleDatabase::build(db.clone(), dir.path(), &params, 2, &HashPolicy).unwrap();
+        TaleDatabase::build_sharded(db.clone(), dir.path(), &params, 2, &HashPolicy).unwrap();
     let mut handles = start_workers(dir.path(), 2);
     let frontend = frontend_over(&handles);
 
@@ -231,7 +231,7 @@ fn worker_death_is_typed_and_reconnect_recovers() {
     let dead_addr = handles[1].addr();
     handles[1].shutdown();
     match frontend.query_batch(&req, Instant::now()) {
-        Err(ServerError::Shard(ShardError::Transport { shard, .. })) => {
+        Err(ServerError::Transport { shard, .. }) => {
             assert_eq!(shard, 1, "the error names the dead shard")
         }
         other => panic!("expected a shard-1 transport error, got {other:?}"),

@@ -14,6 +14,7 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use tale::shard::HashPolicy;
 use tale::{QueryMatch, QueryOptions, TaleDatabase, TaleParams};
 use tale_graph::generate::{gnm, mutate, MutationRates};
 use tale_graph::{Graph, GraphDb, GraphId};
@@ -25,7 +26,6 @@ use tale_server::wire::{
 };
 use tale_server::worker::{serve_shard, Service, WorkerConfig};
 use tale_server::{Frontend, FrontendConfig};
-use tale_shard::{HashPolicy, ShardedTaleDatabase};
 
 const LABELS: u32 = 6;
 
@@ -116,7 +116,7 @@ fn served_mutations_match_an_in_process_replay() {
     let extras: Vec<Graph> = (0..3).map(|_| gnm(&mut rng, 30, 60, LABELS)).collect();
     let dir = tempfile::tempdir().unwrap();
     let params = TaleParams::default();
-    drop(ShardedTaleDatabase::build(db.clone(), dir.path(), &params, 1, &HashPolicy).unwrap());
+    drop(TaleDatabase::build_sharded(db.clone(), dir.path(), &params, 1, &HashPolicy).unwrap());
     let engine = ShardEngine::open(dir.path(), 0, EngineConfig::default()).unwrap();
     let worker = serve_shard(
         Arc::new(engine),
@@ -186,7 +186,7 @@ fn queries_during_a_served_fold_complete_from_their_pinned_snapshot() {
     let dir = tempfile::tempdir().unwrap();
     let params = TaleParams::default();
     let built =
-        ShardedTaleDatabase::build(db.clone(), dir.path(), &params, 1, &HashPolicy).unwrap();
+        TaleDatabase::build_sharded(db.clone(), dir.path(), &params, 1, &HashPolicy).unwrap();
     let want = rows(
         &built
             .query_batch(

@@ -9,7 +9,8 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-use tale::TaleParams;
+use tale::shard::HashPolicy;
+use tale::{TaleDatabase, TaleParams};
 use tale_graph::GraphDb;
 use tale_server::engine::{EngineConfig, ShardEngine};
 use tale_server::wire::{
@@ -17,7 +18,6 @@ use tale_server::wire::{
     WireGraph, WireOptions, KIND_REQUEST, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use tale_server::worker::{serve_shard, ServerHandle, WorkerConfig};
-use tale_shard::{HashPolicy, ShardedTaleDatabase};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -84,7 +84,7 @@ fn tiny_worker(dir: &Path) -> ServerHandle {
     let n1 = g.add_node(b);
     g.add_edge(n0, n1).unwrap();
     db.insert("g0", g);
-    drop(ShardedTaleDatabase::build(db, dir, &TaleParams::default(), 1, &HashPolicy).unwrap());
+    drop(TaleDatabase::build_sharded(db, dir, &TaleParams::default(), 1, &HashPolicy).unwrap());
     let engine = ShardEngine::open(dir, 0, EngineConfig::default()).unwrap();
     serve_shard(
         Arc::new(engine),

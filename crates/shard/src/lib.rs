@@ -1,157 +1,42 @@
-//! Sharded NH-Index: partitioned build, scatter/gather query execution,
-//! and shard-level observability.
+//! Compatibility façade over [`tale::shard`].
 //!
-//! The single-file NH-Index (`tale-nhindex`) bulk-loads one B+-tree over
-//! the postings of every graph in the database — the final sort + merge
-//! is serial even when `parallel_build` fans the per-graph extraction out.
-//! This crate partitions the database across `N` fully independent
-//! NH-Index files ("shards"), each covering a disjoint subset of the
-//! graphs:
-//!
-//! * **build** — each shard extracts, sorts, and bulk-loads its own
-//!   B+-tree with no cross-shard synchronization
-//!   ([`ShardedNhIndex::build`]), parallelizing the merge step itself;
-//! * **query** — the staged engine scatters the probe/anchor/grow
-//!   pipeline across shards and gathers with a deterministic merge, so
-//!   sharded output is bit-identical to the single-index answer at any
-//!   shard count and any thread count ([`ShardedTaleDatabase::query`];
-//!   the determinism argument lives in `tale::engine::exec`);
-//! * **mutate** — [`ShardedTaleDatabase::insert_graph`] and
-//!   [`ShardedTaleDatabase::remove_graph`] route to the owning shard and
-//!   invalidate only that shard's slice of the result cache;
-//! * **observe** — per-shard probe/posting/row traffic, buffer-pool
-//!   deltas, wall clocks, and the skew ratio surface through
-//!   [`tale::BatchStats::shards`] (see [`tale::ShardStats`]).
-//!
-//! Graph placement is pluggable via [`ShardPolicy`]: hash-by-id
-//! ([`HashPolicy`], the default), size-balanced ([`SizeBalancedPolicy`]),
-//! or label-clustered ([`LabelClusteredPolicy`] — the one that lets the
-//! cost-based planner prove whole shards prunable for a query). The shard
-//! map is persisted in a `shards.json` manifest ([`ShardManifest`]) next
-//! to the `shard-NNN/` index directories, along with per-shard statistics
-//! summaries ([`ShardStatsSummary`]) for `tale-cli stats`.
+//! Sharding lives in the `tale` crate: every [`TaleDatabase`] is a
+//! partitioned database of `N ≥ 1` shards, and the paper's single index is
+//! its one-shard case. This crate only keeps the older entry points
+//! alive for the benchmark harness in `talebench/`, which builds against
+//! them and is kept unchanged between benchmark revisions:
+//! [`ShardedTaleDatabase::build`] with its five arguments, and the
+//! re-exported placement policies and manifest. Everything else — the
+//! server, the CLI, the experiments and the tests — uses
+//! [`tale::TaleDatabase`] directly; new code should too.
 
-mod database;
-mod index;
-mod manifest;
-mod policy;
+pub use tale::shard::*;
 
-pub use database::{ShardedRecovery, ShardedTaleDatabase};
-pub use index::{ShardBuildStats, ShardedNhIndex};
-pub use manifest::{
-    vocab_fingerprint, ShardManifest, ShardStatsSummary, MANIFEST_FILE, MANIFEST_SCHEMA_VERSION,
-};
-pub use policy::{
-    policy_by_name, HashPolicy, LabelClusteredPolicy, ShardPolicy, SizeBalancedPolicy,
-};
+use std::path::Path;
+use tale::{TaleDatabase, TaleParams};
+use tale_graph::GraphDb;
 
-/// Errors surfaced by the sharding layer.
-#[derive(Debug)]
-pub enum ShardError {
-    /// Failure in the query engine or database facade.
-    Tale(tale::TaleError),
-    /// Index-layer failure in one shard.
-    Index(tale_nhindex::NhError),
-    /// Index-layer failure attributed to a specific shard — produced by
-    /// [`ShardedNhIndex::open_with_recovery`] so a partial-shard failure
-    /// (one corrupt `shard-NNN/` among healthy siblings) is diagnosable.
-    ///
-    /// [`ShardedNhIndex::open_with_recovery`]: crate::ShardedNhIndex::open_with_recovery
-    Shard {
-        /// The shard whose index failed.
-        shard: u32,
-        /// The underlying index error.
-        source: tale_nhindex::NhError,
-    },
-    /// Graph-layer failure.
-    Graph(tale_graph::GraphError),
-    /// Manifest missing, malformed, or inconsistent with the database.
-    Manifest(String),
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// A shard became unreachable on the networked path (`tale-server`):
-    /// connection refused or reset, handshake failure, or a worker that
-    /// died mid-batch. The frontend fails the whole batch with this —
-    /// deterministically, never a partial merge — so callers can retry
-    /// against a reconnected worker.
-    Transport {
-        /// The shard whose worker failed.
-        shard: u32,
-        /// The underlying transport failure.
-        source: Box<dyn std::error::Error + Send + Sync>,
-    },
-}
+/// A [`TaleDatabase`] built through the older sharded entry point. It
+/// dereferences to the database, which serves every query and mutation.
+pub struct ShardedTaleDatabase(pub TaleDatabase);
 
-impl std::fmt::Display for ShardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardError::Tale(e) => write!(f, "tale: {e}"),
-            ShardError::Index(e) => write!(f, "index: {e}"),
-            ShardError::Shard { shard, source } => write!(f, "shard {shard}: {source}"),
-            ShardError::Graph(e) => write!(f, "graph: {e}"),
-            ShardError::Manifest(m) => write!(f, "manifest: {m}"),
-            ShardError::Io(e) => write!(f, "io: {e}"),
-            ShardError::Transport { shard, source } => {
-                write!(f, "shard {shard} transport: {source}")
-            }
-        }
+impl ShardedTaleDatabase {
+    /// [`TaleDatabase::build_sharded`] under its older name.
+    pub fn build(
+        db: GraphDb,
+        dir: &Path,
+        params: &TaleParams,
+        nshards: usize,
+        policy: &dyn ShardPolicy,
+    ) -> tale::Result<Self> {
+        TaleDatabase::build_sharded(db, dir, params, nshards, policy).map(ShardedTaleDatabase)
     }
 }
 
-impl std::error::Error for ShardError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ShardError::Tale(e) => Some(e),
-            ShardError::Index(e) => Some(e),
-            ShardError::Shard { source, .. } => Some(source),
-            ShardError::Graph(e) => Some(e),
-            ShardError::Manifest(_) => None,
-            ShardError::Io(e) => Some(e),
-            ShardError::Transport { source, .. } => Some(source.as_ref()),
-        }
+impl std::ops::Deref for ShardedTaleDatabase {
+    type Target = TaleDatabase;
+
+    fn deref(&self) -> &TaleDatabase {
+        &self.0
     }
-}
-
-impl From<tale::TaleError> for ShardError {
-    fn from(e: tale::TaleError) -> Self {
-        ShardError::Tale(e)
-    }
-}
-
-impl From<tale_nhindex::NhError> for ShardError {
-    fn from(e: tale_nhindex::NhError) -> Self {
-        ShardError::Index(e)
-    }
-}
-
-impl From<tale_graph::GraphError> for ShardError {
-    fn from(e: tale_graph::GraphError) -> Self {
-        ShardError::Graph(e)
-    }
-}
-
-impl From<std::io::Error> for ShardError {
-    fn from(e: std::io::Error) -> Self {
-        ShardError::Io(e)
-    }
-}
-
-/// Result alias.
-pub type Result<T> = std::result::Result<T, ShardError>;
-
-/// Read-locks `l`. A writer that panicked mid-update never leaves a
-/// half-built value behind here — every guarded value is replaced
-/// whole — so a poisoned lock is still safe to read.
-pub(crate) fn read<T>(l: &std::sync::RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Write-locks `l` (see [`read`] for why poisoning is ignored).
-pub(crate) fn write<T>(l: &std::sync::RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Locks `m` (see [`read`] for why poisoning is ignored).
-pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

@@ -1,32 +1,31 @@
 //! Multi-file mutation journal.
 //!
 //! A persistent database keeps two durable artifacts that must stay
-//! consistent: the graph store (`graphs.json`) and the index manifest
-//! that records the insert — `mvcc.json`'s logical counter for
-//! [`crate::TaleDatabase`], the `shards.json` assignment for a sharded
-//! database. Each file is individually crash-safe (atomic rename), but a
-//! crash *between* their commit points could otherwise leave a graph
-//! store holding a graph the index never saw — a corrupted-but-served
-//! state no single-file mechanism can see.
+//! consistent: the graph store (`graphs.json`) and the `shards.json`
+//! manifest whose assignment length counts the committed inserts — the
+//! one insert commit counter. Each file is individually crash-safe
+//! (atomic rename), but a crash *between* their commit points could
+//! otherwise leave a graph store holding a graph the index never saw — a
+//! corrupted-but-served state no single-file mechanism can see.
 //!
 //! The journal closes that window. Before a graph insert touches anything
 //! durable it *stages*: the current `graphs.json` is copied to a fsynced
-//! backup and a `pending.json` marker recording the manifest's
-//! pre-mutation counter is atomically written. Then the new `graphs.json`
-//! is saved, the manifest write commits the insert, and the journal is
-//! cleared. Recovery on open keys off that counter — the *last* commit
-//! point in the sequence:
+//! backup and a `pending.json` marker recording the pre-insert
+//! assignment length is atomically written. Then the new `graphs.json`
+//! is saved, the `shards.json` rewrite commits the insert, and the
+//! journal is cleared. Recovery on open keys off that counter — the
+//! *last* commit point in the sequence:
 //!
-//! * counter unchanged → the manifest never committed; restore
+//! * length unchanged → the manifest never committed; restore
 //!   `graphs.json` from the backup. Everything is bit-identical to the
 //!   pre-insert state.
-//! * counter advanced → the manifest committed; the already-saved
+//! * length grown → the manifest committed; the already-saved
 //!   `graphs.json` is exactly the post-insert state. Discard the backup.
 //!
-//! Graph removals tombstone only the index manifest and never touch
-//! `graphs.json`, so they need no journal. Clearing is crash-safe too: the marker is
-//! deleted before the backup, and a stale backup without a marker is
-//! swept harmlessly on the next open.
+//! Graph removals tombstone only one shard's `mvcc.json` and never touch
+//! `graphs.json`, so they need no journal; neither do folds. Clearing is
+//! crash-safe too: the marker is deleted before the backup, and a stale
+//! backup without a marker is swept harmlessly on the next open.
 
 use crate::Result;
 use serde::{Deserialize, Serialize};
@@ -40,27 +39,10 @@ pub const DB_BACKUP_FILE: &str = "graphs.json.pre";
 /// Contents of the `pending.json` marker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PendingMutation {
-    /// The manifest counter observed *before* the mutation began — the
-    /// *logical* mutation counter for the single-index database, the
-    /// `shards.json` assignment length for sharded databases. Recovery
-    /// compares it to the persisted counter to decide whether the
-    /// mutation committed.
+    /// The `shards.json` assignment length observed *before* the insert
+    /// began. Recovery compares it to the persisted length to decide
+    /// whether the insert committed.
     pub pre_generation: u64,
-}
-
-/// What [`crate::TaleDatabase::open_with_recovery`] found and repaired.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct DbRecovery {
-    /// The generation the index manifest names (the one opened).
-    pub generation: u64,
-    /// A `pending.json` marker was present (a multi-file mutation was in
-    /// flight at crash time).
-    pub journal_present: bool,
-    /// `graphs.json` was restored from its pre-mutation backup.
-    pub db_rolled_back: bool,
-    /// Orphaned generation directories swept from `gens/` — unfinished
-    /// folds, or retired generations whose GC never ran.
-    pub generations_swept: usize,
 }
 
 /// Handle to the journal files of one database directory.
@@ -132,7 +114,7 @@ impl MutationJournal {
     }
 
     /// Repairs the directory after a crash. `post_generation` is the
-    /// persisted manifest counter (see [`PendingMutation`]). Returns
+    /// persisted assignment length (see [`PendingMutation`]). Returns
     /// whether a journal was present and whether `graphs.json` was rolled
     /// back.
     pub fn recover(&self, post_generation: u64) -> Result<(bool, bool)> {

@@ -16,6 +16,14 @@
 //! 5. rank matches under a pluggable similarity model and return the
 //!    top-K.
 //!
+//! Every database is partitioned into `N ≥ 1` shards ([`shard`]), each a
+//! generational NH-Index over a disjoint subset of the graphs. The
+//! paper's single index is the default, one-shard database
+//! ([`TaleDatabase::build`]); [`TaleDatabase::build_sharded`] spreads the
+//! same design over more shards, with bit-identical answers at any `N`.
+//! One code path serves every `N`: one mutation journal, one insert
+//! commit point (the `shards.json` assignment length), one recovery.
+//!
 //! ```no_run
 //! use tale::{TaleDatabase, TaleParams, QueryOptions};
 //! use tale_graph::{GraphDb, Graph};
@@ -40,12 +48,12 @@ pub mod journal;
 mod params;
 mod result;
 mod scratch;
+pub mod shard;
 
-pub use database::TaleDatabase;
+pub use database::{Recovery, TaleDatabase};
 pub use engine::cache::{options_fingerprint, CacheStats, DEFAULT_CACHE_ENTRIES, PLAN_VERSION};
 pub use engine::plan::{canonical_signature, PlanNode, PlanReport, ProbeReport, ShardPlan};
 pub use engine::stats::{BatchStats, PoolDelta, QueryStats, ShardStats, StageTimes};
-pub use journal::DbRecovery;
 pub use params::{PlanMode, QueryOptions, TaleParams};
 pub use result::QueryMatch;
 pub use scratch::ScratchDir;
@@ -59,6 +67,19 @@ pub enum TaleError {
     Index(tale_nhindex::NhError),
     /// Graph-layer failure.
     Graph(tale_graph::GraphError),
+    /// Index-layer failure attributed to one shard, so a partial-shard
+    /// failure (one corrupt `shard-NNN/` among healthy siblings) is
+    /// diagnosable.
+    Shard {
+        /// The shard whose index failed.
+        shard: u32,
+        /// The underlying index error.
+        source: tale_nhindex::NhError,
+    },
+    /// The `shards.json` manifest is missing, malformed, or inconsistent
+    /// with the database — or the directory holds a layout this build
+    /// refuses to serve.
+    Manifest(String),
     /// Filesystem failure.
     Io(std::io::Error),
 }
@@ -68,6 +89,8 @@ impl std::fmt::Display for TaleError {
         match self {
             TaleError::Index(e) => write!(f, "index: {e}"),
             TaleError::Graph(e) => write!(f, "graph: {e}"),
+            TaleError::Shard { shard, source } => write!(f, "shard {shard}: {source}"),
+            TaleError::Manifest(m) => write!(f, "manifest: {m}"),
             TaleError::Io(e) => write!(f, "io: {e}"),
         }
     }
@@ -78,6 +101,8 @@ impl std::error::Error for TaleError {
         match self {
             TaleError::Index(e) => Some(e),
             TaleError::Graph(e) => Some(e),
+            TaleError::Shard { source, .. } => Some(source),
+            TaleError::Manifest(_) => None,
             TaleError::Io(e) => Some(e),
         }
     }

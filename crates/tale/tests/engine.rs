@@ -311,7 +311,7 @@ fn cache_entries_survive_insert_and_remove() {
     // Repeat query after the insert: the base entry answers from cache —
     // the on-disk index sees zero probes — while the delta overlay runs
     // under its fresh generation to cover the new graph.
-    let snap = tale.index().snapshot();
+    let snap = tale.index().shards()[0].snapshot();
     let disk_before = snap.base().counters();
     let base_hits_before = tale.base_cache_stats().hits;
     let (after_insert, s) = tale.query_with_stats(q, &opts).unwrap();

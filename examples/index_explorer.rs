@@ -33,8 +33,9 @@ fn main() {
     };
     let tale = TaleDatabase::build(db, &dir, &params).expect("build");
 
-    // The database directory holds the graph store, the MVCC manifest and
-    // one immutable generation directory per on-disk index version.
+    // The database directory holds the graph store, the shard map and one
+    // shard directory (a one-shard build): its MVCC manifest and one
+    // immutable generation directory per on-disk index version.
     println!("== index layout ({}) ==", dir.display());
     let mut listing = Vec::new();
     let mut walk = vec![dir.clone()];
@@ -54,7 +55,7 @@ fn main() {
     for (rel, len) in listing {
         println!("  {:24} {:>10} bytes", rel.display(), len);
     }
-    let idx = tale.index();
+    let idx = &tale.index().shards()[0];
     println!("\n== index statistics ==");
     println!("  indexing units (db nodes) : {}", idx.node_count());
     println!("  distinct (label,deg,nbc)  : {}", idx.key_count());

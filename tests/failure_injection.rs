@@ -1,6 +1,6 @@
 //! Failure injection: corrupted or missing index files must surface as
-//! errors, never as panics or silent wrong answers. (The generational
-//! layout keeps a fresh build's index files under `gens/g0/`.)
+//! errors, never as panics or silent wrong answers. (A fresh one-shard
+//! build keeps its index files under `shard-000/gens/g0/`.)
 
 use tale::{QueryOptions, TaleDatabase, TaleParams};
 use tale_graph::{Graph, GraphDb};
@@ -31,7 +31,7 @@ fn open_with_missing_meta_errors() {
     let dir = tempfile::tempdir().unwrap();
     let (db, _) = sample_db();
     TaleDatabase::build(db, dir.path(), &TaleParams::default()).unwrap();
-    std::fs::remove_file(dir.path().join("gens/g0/nh.meta.json")).unwrap();
+    std::fs::remove_file(dir.path().join("shard-000/gens/g0/nh.meta.json")).unwrap();
     assert!(TaleDatabase::open(dir.path(), 64).is_err());
 }
 
@@ -40,7 +40,11 @@ fn open_with_garbage_meta_errors() {
     let dir = tempfile::tempdir().unwrap();
     let (db, _) = sample_db();
     TaleDatabase::build(db, dir.path(), &TaleParams::default()).unwrap();
-    std::fs::write(dir.path().join("gens/g0/nh.meta.json"), b"{not json").unwrap();
+    std::fs::write(
+        dir.path().join("shard-000/gens/g0/nh.meta.json"),
+        b"{not json",
+    )
+    .unwrap();
     let err = TaleDatabase::open(dir.path(), 64);
     assert!(err.is_err());
     let msg = format!("{}", err.err().unwrap());
@@ -53,7 +57,7 @@ fn corrupted_btree_page_detected_on_probe() {
     let (db, query) = sample_db();
     TaleDatabase::build(db, dir.path(), &TaleParams::default()).unwrap();
     // Flip bytes in the middle of the B+-tree file payload.
-    let path = dir.path().join("gens/g0/nh.btree");
+    let path = dir.path().join("shard-000/gens/g0/nh.btree");
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     let end = (mid + 64).min(bytes.len());
@@ -87,7 +91,7 @@ fn corrupted_blob_file_detected() {
     let dir = tempfile::tempdir().unwrap();
     let (db, query) = sample_db();
     TaleDatabase::build(db, dir.path(), &TaleParams::default()).unwrap();
-    let path = dir.path().join("gens/g0/nh.blobs");
+    let path = dir.path().join("shard-000/gens/g0/nh.blobs");
     let mut bytes = std::fs::read(&path).unwrap();
     for b in bytes.iter_mut().take(256) {
         *b ^= 0xAA;
@@ -103,8 +107,8 @@ fn nhindex_open_requires_all_files() {
     let dir = tempfile::tempdir().unwrap();
     let (db, _) = sample_db();
     TaleDatabase::build(db, dir.path(), &TaleParams::default()).unwrap();
-    std::fs::remove_file(dir.path().join("gens/g0/nh.blobs")).unwrap();
-    assert!(NhIndex::open(&dir.path().join("gens/g0"), 64).is_err());
+    std::fs::remove_file(dir.path().join("shard-000/gens/g0/nh.blobs")).unwrap();
+    assert!(NhIndex::open(&dir.path().join("shard-000/gens/g0"), 64).is_err());
 }
 
 #[test]
